@@ -19,8 +19,8 @@ from .hilbert import (HilbertDilation, build_hilbert_dilation,
 from .imprimitivity import (ImprimitivitySystem, ProjectiveRep, check_rep,
                             check_system)
 from .linalg import (NormTag, NormedSpace, Tolerance, dual_pair, hermitian_eig,
-                     hermitian_inner, is_isometry, numeric_rank, op_norm,
-                     subset_sums, vec_norm)
+                     hermitian_inner, is_isometry, numeric_rank, subset_sums,
+                     vec_norm)
 from .ovm import Ovm, OvmClass, bessel_ovm, classify, evaluate, framing_ovm
 from .pipeline import run_pipeline
 from .report import CheckRecord, Report

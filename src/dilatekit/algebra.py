@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -239,9 +239,6 @@ class MeasurableSpace:
     def full(self) -> int:
         return (1 << self.atoms) - 1
 
-    def sets(self) -> Iterator[int]:
-        return iter(range(1 << self.atoms))
-
     def members(self, mask: int):
         return [w for w in range(self.atoms) if mask >> w & 1]
 
@@ -295,12 +292,6 @@ def left_translation_action(group: FiniteGroup) -> GroupAction:
     """The group acting on itself by left translation (atoms = elements)."""
     space = MeasurableSpace(group.order)
     return check_action(group, space, group.table)
-
-
-def trivial_action(group: FiniteGroup, atoms: int) -> GroupAction:
-    space = MeasurableSpace(atoms)
-    pm = np.tile(np.arange(atoms), (group.order, 1))
-    return check_action(group, space, pm)
 
 
 def orbits(action: GroupAction):

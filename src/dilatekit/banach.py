@@ -23,14 +23,13 @@ from .errors import (ClosureViolation, EnumerationCapExceeded, IdentityViolation
                      NotIdempotent, NotInjective, SemigroupNotSupported,
                      ShapeMismatch)
 from .imprimitivity import ImprimitivitySystem
-from .linalg import (NormedSpace, Tolerance, max_abs, numeric_rank,
-                     orthonormal_range, row_norms, subset_sums)
+from .linalg import (EXHAUSTIVE_LIMIT, ISOMETRY_RTOL, NormedSpace, Tolerance,
+                     max_abs, numeric_rank, orthonormal_range, row_norms,
+                     subset_sums)
 from .ovm import Ovm
 from .report import CheckRecord, check
 
 ALPHA_CAP_DEFAULT = 16
-ISOMETRY_RTOL = 1e-8
-_EXHAUSTIVE_LIMIT = 12  # beyond this many atoms, set scans fall back to sampling
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +132,6 @@ class DilationSpaceAlpha:
         return VectorMeasure(space=self.ovm.space, target=self.ovm.target,
                              atom_values=self.values_from_coords(coords))
 
-    def membership_residual(self, values: np.ndarray) -> float:
-        """Distance of atom values from the per-atom column spaces."""
-        return max_abs(values - self.values_from_coords(self.coords_from_values(values)))
-
     def alpha_of_coords(self, coords: np.ndarray) -> float:
         return alpha_norm(self.measure(coords), self.cap)
 
@@ -155,7 +150,8 @@ class DilationSystem:
 
     ``rho_atoms`` holds rho({w}); values on larger sets are sums of atoms.
     ``norm`` is the carrier norm oracle (the alpha norm for the minimal
-    system, a Euclidean or restricted norm for adapters).
+    system, a Euclidean or restricted norm for adapters). ``checks`` holds
+    the records of the verification run by the builder, if any.
     """
 
     group: FiniteGroup
@@ -170,6 +166,7 @@ class DilationSystem:
     norm: Callable[[np.ndarray], float]
     norm_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     carrier: Optional[DilationSpaceAlpha] = None
+    checks: List[CheckRecord] = field(default_factory=list)
 
     def __post_init__(self):
         if self.norm_batch is None:
@@ -197,8 +194,8 @@ def build_minimal_dilation(system: ImprimitivitySystem,
     outside E (block indicators), V_s sends atom w to s.w through W_s,
     Q evaluates at the full set, and T(x) is the measure with atom values
     phi({w}) x. Every operator is checked to map M_phi into itself and the
-    full identity suite is verified before returning; groups only, since
-    V_s needs s^-1 on sets.
+    full identity suite is verified before returning, its records kept in
+    ``checks``; groups only, since V_s needs s^-1 on sets.
     """
     tol = tol or Tolerance()
     rep, ovm, action = system.rep, system.ovm, system.action
@@ -243,7 +240,8 @@ def build_minimal_dilation(system: ImprimitivitySystem,
                         v_ops=v_ops, rho_atoms=rho_atoms, Q=q_mat, T=t_mat,
                         norm=carrier.alpha_of_coords,
                         norm_batch=carrier.alpha_batch, carrier=carrier)
-    for record in verify_dilation(ds, system, tol):
+    ds.checks = verify_dilation(ds, system, tol)
+    for record in ds.checks:
         if not record.passed:
             raise IdentityViolation(record.name, record.max_residual)
     return ds
@@ -276,7 +274,7 @@ def verify_dilation(ds: DilationSystem, system: ImprimitivitySystem,
     eps = tol.eps_residual
     rep, ovm, action = system.rep, system.ovm, system.action
     m = ovm.space.atoms
-    exhaustive = m <= _EXHAUSTIVE_LIMIT
+    exhaustive = m <= EXHAUSTIVE_LIMIT
     records = []
 
     # (a) factorization: per-atom defects, then max over subset sums

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import (BlockRankMismatch, IdentityViolation, NonUnitaryRep,
                      NotPositive, SemigroupNotSupported)
 from .imprimitivity import ImprimitivitySystem
-from .linalg import (Tolerance, hermitian_eig, is_isometry, max_abs, subset_sums)
+from .linalg import (EXHAUSTIVE_LIMIT, Tolerance, hermitian_eig, is_isometry,
+                     max_abs, subset_sums)
 from .report import CheckRecord, check
 
 
@@ -132,7 +133,8 @@ def verify_hilbert_dilation(hd: HilbertDilation, system: ImprimitivitySystem,
     pi_atoms = np.stack([hd.pi_atom(w) for w in range(m)]) if m else None
     defects = np.stack([hd.V.conj().T @ pi_atoms[w] @ hd.V - ovm.atoms[w]
                         for w in range(m)])
-    resid_1 = max_abs(subset_sums(defects)) if m <= 12 else max_abs(defects) * m
+    resid_1 = (max_abs(subset_sums(defects)) if m <= EXHAUSTIVE_LIMIT
+               else max_abs(defects) * m)
     records.append(check("reconstruction phi(E) = V* pi(E) V", "hilbert(1)",
                          resid_1, eps))
 

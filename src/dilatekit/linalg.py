@@ -21,7 +21,11 @@ import numpy as np
 
 from .errors import InvalidInput
 
-_PNORM_ASCENT_ITERS = 40
+# Threshold of the sampled isometry checks, on the relative change of a norm.
+ISOMETRY_RTOL = 1e-8
+# Set-indexed verification scans are exhaustive up to this many atoms (or
+# basis indices) and fall back to sampling or additive bounds above it.
+EXHAUSTIVE_LIMIT = 12
 
 
 def as_vector(v) -> np.ndarray:
@@ -170,93 +174,6 @@ def row_norms(rows: np.ndarray, tag: NormTag) -> np.ndarray:
     inner = (mags ** tag.p).sum(axis=1)
     inv = 1.0 / tag.p
     return np.array([float(s) ** inv for s in inner])
-
-
-@dataclass(frozen=True)
-class OperatorNorm:
-    """Operator norm value; ``exact`` is False for the sampled lp estimate,
-    which is then only a certified lower bound."""
-
-    value: float
-    exact: bool
-
-
-def _phase(z: np.ndarray) -> np.ndarray:
-    a = np.abs(z)
-    out = np.zeros_like(z)
-    nz = a > 0
-    out[nz] = z[nz] / a[nz]
-    return out
-
-
-def _duality_map(v: np.ndarray, p: float) -> np.ndarray:
-    """|v|^(p-1) * phase(v), the norming direction for the lp norm."""
-    a = np.abs(v)
-    out = np.zeros_like(v)
-    nz = a > 0
-    out[nz] = (a[nz] ** (p - 1.0)) * (v[nz] / a[nz])
-    return out
-
-
-def random_unit_vectors(rng: np.random.Generator, count: int, dim: int,
-                        tag: NormTag) -> np.ndarray:
-    """Rows are complex Gaussian vectors normalised under ``tag``."""
-    if dim == 0:
-        return np.zeros((count, 0), dtype=np.complex128)
-    v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    norms = row_norms(v, tag)
-    norms[norms == 0] = 1.0
-    return v / norms[:, None]
-
-
-def op_norm(m, space_norm: NormTag, tol: Optional[Tolerance] = None) -> OperatorNorm:
-    """Operator norm of a square matrix acting on (C^d, space_norm).
-
-    Exact for l1 (max column sum), linf (max row sum) and l2 (largest
-    singular value). For a general lp tag the value is a lower bound found
-    by sampling random unit vectors and running a nonlinear power-iteration
-    ascent; the result is flagged ``exact=False``.
-    """
-    a = require_finite(as_matrix(m), "matrix")
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInput(f"operator norm needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return OperatorNorm(0.0, True)
-    mags = np.abs(a)
-    if space_norm.kind == "l1":
-        return OperatorNorm(float(mags.sum(axis=0).max()), True)
-    if space_norm.kind == "linf":
-        return OperatorNorm(float(mags.sum(axis=1).max()), True)
-    if space_norm.kind == "l2":
-        return OperatorNorm(float(np.linalg.svd(a, compute_uv=False)[0]), True)
-
-    tol = tol or Tolerance()
-    p = space_norm.p
-    q = p / (p - 1.0)
-    rng = tol.rng()
-    starts = random_unit_vectors(rng, tol.sample_count, n, space_norm)
-    values = row_norms(starts @ a.T, space_norm)
-    best = float(values.max())
-    # ascend from the most promising samples plus the coordinate directions
-    order = np.argsort(values)[::-1][:4]
-    seeds = [starts[i] for i in order] + [np.eye(n, dtype=np.complex128)[j]
-                                          for j in range(min(n, 4))]
-    for x in seeds:
-        x = x / (vec_norm(x, space_norm) or 1.0)
-        for _ in range(_PNORM_ASCENT_ITERS):
-            y = a @ x
-            ny = vec_norm(y, space_norm)
-            best = max(best, ny)
-            if ny == 0.0:
-                break
-            z = a.conj().T @ _duality_map(y, p)
-            xn = _duality_map(z, q)
-            nx = vec_norm(xn, space_norm)
-            if nx == 0.0:
-                break
-            x = xn / nx
-    return OperatorNorm(best, False)
 
 
 @dataclass(frozen=True)

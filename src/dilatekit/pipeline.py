@@ -12,22 +12,15 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import banach, hilbert
 from .algebra import (MeasurableSpace, check_action, check_group,
                       check_multiplier, check_semigroup, left_translation_action,
                       trivial_multiplier)
-from .errors import (ActionViolation, AssociativityViolation,
-                     ClosureViolation, CocycleViolation, CovarianceViolation,
-                     DilationError, EnumerationCapExceeded, IdentityViolation,
-                     InvalidInput, InvalidParams, ModulusViolation, NoIdentity,
-                     NoInverse, NonHilbertNorm, NonUnitaryRep,
-                     NormalizationViolation, NotIdempotent, NotInjective,
-                     NotIsometry, NotPositive, MultiplierRelationViolation,
-                     ParseError, SchemaError, SemigroupNotSupported,
-                     ShapeError, ShapeMismatch, SingularFrameOperator,
-                     UnitViolation, WindowCountMismatch, ZeroWindow)
+from .errors import (DilationError, EnumerationCapExceeded, InvalidInput,
+                     InvalidParams, NoInverse, ParseError, SchemaError,
+                     ShapeError)
 from .framing import (FramingSystem, build_dilated_basis, verify_basis_dilation,
                       verify_framing)
 from .imprimitivity import check_rep, check_system
@@ -41,37 +34,6 @@ COMMANDS = ("validate", "dilate-banach", "dilate-hilbert", "dilate-framing", "al
 INPUT_ERRORS = (ParseError, SchemaError, ShapeError, InvalidParams, InvalidInput,
                 EnumerationCapExceeded)
 
-# map a raised error to the named check it fails
-_ERROR_CHECKS = {
-    AssociativityViolation: ("group table valid", "valid.group"),
-    NoIdentity: ("group table valid", "valid.group"),
-    NoInverse: ("group table valid", "valid.group"),
-    NormalizationViolation: ("multiplier valid", "valid.multiplier"),
-    ModulusViolation: ("multiplier valid", "valid.multiplier"),
-    CocycleViolation: ("multiplier valid", "valid.multiplier"),
-    ActionViolation: ("action valid", "valid.action"),
-    UnitViolation: ("representation unit", "valid.rep.unit"),
-    MultiplierRelationViolation: ("representation product relation",
-                                  "valid.rep.relation"),
-    NotIsometry: ("representation isometries", "valid.rep.isometry"),
-    CovarianceViolation: ("system covariance on atoms",
-                          "valid.system.covariance"),
-    ShapeMismatch: ("component shapes", "valid.shapes"),
-    WindowCountMismatch: ("component shapes", "valid.shapes"),
-    ZeroWindow: ("windows nonzero", "valid.framing.windows"),
-    SingularFrameOperator: ("frame operator invertible", "valid.framing.frame-op"),
-    SemigroupNotSupported: ("group required for dilation",
-                            "dilation.applicability"),
-    ClosureViolation: ("dilation operators stay in the dilation space",
-                       "dilation.closure"),
-    IdentityViolation: ("dilation identity suite", "dilation.identities"),
-    NotIdempotent: ("rho(Omega) idempotent", "restriction.idempotent"),
-    NotInjective: ("dilation system injective", "induced.injective"),
-    NotPositive: ("measure positive", "hilbert.applicability"),
-    NonUnitaryRep: ("representation unitary on l2", "hilbert.applicability"),
-    NonHilbertNorm: ("Euclidean target required", "hilbert.applicability"),
-}
-
 
 @dataclass
 class Materialized:
@@ -83,9 +45,10 @@ class Materialized:
     system: Optional[object] = None
     framing: Optional[FramingSystem] = None
     records: List[CheckRecord] = dataclasses.field(default_factory=list)
+    framing_checks: List[CheckRecord] = dataclasses.field(default_factory=list)
 
 
-def _materialize(sc: Scenario, tol: Tolerance, cap: int) -> Materialized:
+def _materialize(sc: Scenario, tol: Tolerance) -> Materialized:
     try:
         group = check_group(sc.group_table)
         group_note = "group"
@@ -124,10 +87,10 @@ def _materialize(sc: Scenario, tol: Tolerance, cap: int) -> Materialized:
                             notes=f"||phi(Omega)|| = {bessel_bound(measure):.6g}"))
         out.system = system
     else:
-        fs = FramingSystem(theta=rep, windows=sc.framing_windows,
-                           duals=sc.framing_duals)
-        records.extend(verify_framing(fs, tol))
-        out.framing = fs
+        out.framing = FramingSystem(theta=rep, windows=sc.framing_windows,
+                                    duals=sc.framing_duals)
+        out.framing_checks = verify_framing(out.framing, tol)
+        records.extend(out.framing_checks)
     return out
 
 
@@ -139,8 +102,9 @@ def _framing_system(mat: Materialized, tol: Tolerance):
     return system, recs
 
 
-def _banach_stage(mat: Materialized, tol: Tolerance, cap: int,
-                  samples: Optional[int]) -> List[CheckRecord]:
+def _banach_stage(mat: Materialized, tol: Tolerance, cap: int
+                  ) -> Tuple[banach.DilationSystem, List[CheckRecord]]:
+    """Minimal dilation with the records of its single verification."""
     records = []
     if mat.system is not None:
         system = mat.system
@@ -153,51 +117,48 @@ def _banach_stage(mat: Materialized, tol: Tolerance, cap: int,
     records.append(flag("dim of the dilation space equals the atom-rank sum",
                         "dilation(dim)", ds.dim == expected,
                         notes=f"dim = {ds.dim}"))
-    records.extend(banach.verify_dilation(ds, system, tol, samples))
-    return records
+    records.extend(ds.checks)
+    return ds, records
 
 
-def _hilbert_stage(mat: Materialized, tol: Tolerance) -> List[CheckRecord]:
+def _hilbert_stage(mat: Materialized, tol: Tolerance
+                   ) -> Tuple[hilbert.HilbertDilation, List[CheckRecord]]:
     if mat.system is None:
         system, _ = _framing_system(mat, tol)
     else:
         system = mat.system
     hd = hilbert.build_hilbert_dilation(system, tol)
-    return hilbert.verify_hilbert_dilation(hd, system, tol)
+    return hd, hilbert.verify_hilbert_dilation(hd, system, tol)
 
 
-def _prop_chain_stage(mat: Materialized, tol: Tolerance, cap: int,
-                      samples: Optional[int]) -> List[CheckRecord]:
+def _prop_chain_stage(mat: Materialized, hd: hilbert.HilbertDilation,
+                      minimal: banach.DilationSystem,
+                      tol: Tolerance) -> List[CheckRecord]:
     """Induced-norm chain: Hilbert dilation -> restriction -> pulled-back
-    dilation norm -> minimality inequality."""
+    dilation norm -> minimality inequality, on the dilations already built."""
     system = mat.system
     records = []
-    hd = hilbert.build_hilbert_dilation(system, tol)
     adapter = hilbert.hilbert_as_injective(hd)
     restricted, sub = banach.restrict_probability(adapter, system, tol)
     worst = max((r.max_residual for r in sub), default=0.0)
     records.append(check("restriction is a probability dilation system",
                          "restriction(probability)", worst, tol.eps_residual,
                          notes=f"{len(sub)} sub-checks"))
-    minimal = banach.build_minimal_dilation(system, tol, cap)
     records.append(banach.check_q_range_invariance(minimal, system, tol))
     induced = banach.induced_norm_from_injective(restricted, system, tol,
                                                  minimal=minimal)
     records.extend(induced.checks)
-    _, _, min_records = banach.minimality_bound(induced, tol,
-                                                samples or tol.sample_count)
+    _, _, min_records = banach.minimality_bound(induced, tol, tol.sample_count)
     records.extend(min_records)
     return records
 
 
-def _framing_stage(mat: Materialized, tol: Tolerance, cap: int,
-                   samples: Optional[int]) -> List[CheckRecord]:
+def _framing_stage(mat: Materialized, tol: Tolerance,
+                   cap: int) -> List[CheckRecord]:
     if mat.framing is None:
         raise SchemaError("framing", "dilate-framing needs a framing payload")
-    records = verify_framing(mat.framing, tol)
     db = build_dilated_basis(mat.framing, tol, cap)
-    records.extend(verify_basis_dilation(db, mat.framing, tol, samples))
-    return records
+    return mat.framing_checks + verify_basis_dilation(db, mat.framing, tol)
 
 
 def run_pipeline(sc: Scenario, command: str, *, eps: Optional[float] = None,
@@ -223,28 +184,28 @@ def run_pipeline(sc: Scenario, command: str, *, eps: Optional[float] = None,
         checks.append(flag("scenario defaults applied", "valid.schema", True,
                            notes="; ".join(sc.notes)))
     try:
-        mat = _materialize(sc, tol, cap)
+        mat = _materialize(sc, tol)
         if command in ("validate", "all"):
             checks.extend(mat.records)
         if command in ("dilate-banach", "all"):
-            checks.extend(_banach_stage(mat, tol, cap, samples))
+            minimal, records = _banach_stage(mat, tol, cap)
+            checks.extend(records)
         if command == "dilate-hilbert":
-            checks.extend(_hilbert_stage(mat, tol))
+            checks.extend(_hilbert_stage(mat, tol)[1])
         if command == "all" and mat.system is not None:
             if (mat.system.ovm_class.positive
                     and mat.space.norm.kind == "l2"
                     and mat.group.is_group):
-                checks.extend(hilbert.verify_hilbert_dilation(
-                    hilbert.build_hilbert_dilation(mat.system, tol),
-                    mat.system, tol))
-                checks.extend(_prop_chain_stage(mat, tol, cap, samples))
+                hd, records = _hilbert_stage(mat, tol)
+                checks.extend(records)
+                checks.extend(_prop_chain_stage(mat, hd, minimal, tol))
         if command in ("dilate-framing",) or (command == "all"
                                               and mat.framing is not None):
-            checks.extend(_framing_stage(mat, tol, cap, samples))
+            checks.extend(_framing_stage(mat, tol, cap))
     except INPUT_ERRORS:
         raise
     except DilationError as exc:
-        name, code = _ERROR_CHECKS.get(type(exc), ("pipeline", "pipeline.error"))
+        name, code = exc.failed_check
         checks.append(failure(name, code, notes=str(exc)))
 
     report.checks = checks

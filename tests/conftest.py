@@ -233,7 +233,7 @@ def z2_swap_framing():
 
 def system_from_scenario(sc):
     from dilatekit.pipeline import _framing_system, _materialize
-    mat = _materialize(sc, sc.tolerance, cap=16)
+    mat = _materialize(sc, sc.tolerance)
     if mat.system is not None:
         return mat.system
     system, _ = _framing_system(mat, sc.tolerance)

@@ -99,6 +99,15 @@ class TestVerifyBasisDilation:
         assert not product.passed
         assert product.max_residual == pytest.approx(2.0)
 
+    def test_shrunk_T_fails_bounded_below(self):
+        # ||x||_X <= ||Tx||_Z holds whenever S T = I, so halving T must fail
+        for fs in (z2_trivial_framing(), z2_swap_framing()):
+            db = build_dilated_basis(fs, TOL)
+            db.T = 0.5 * db.T
+            records = verify_basis_dilation(db, fs, TOL, samples=16)
+            bounded = [r for r in records if r.paper_item == "basis(i)"][0]
+            assert not bounded.passed
+
     def test_suppression_monotone_under_submask(self, rng):
         fs = cyclic_shift_framing(3, 1, NormTag.l1(), seed=9)
         db = build_dilated_basis(fs, TOL)

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilatekit.errors import InvalidInput
-from dilatekit.linalg import (NormTag, Tolerance, dual_pair, hermitian_eig,
+from dilatekit.linalg import (NormTag, dual_pair, hermitian_eig,
                               hermitian_inner, is_isometry, max_abs,
-                              numeric_rank, op_norm, row_norms, subset_sums,
-                              vec_norm)
+                              numeric_rank, row_norms, subset_sums, vec_norm)
 
 L1, L2, LINF = NormTag.l1(), NormTag.l2(), NormTag.linf()
 ALL_TAGS = [L1, L2, LINF, NormTag.lp(3.0)]
@@ -55,38 +54,6 @@ class TestVecNorm:
             batch = row_norms(rows, tag)
             for i in range(7):
                 assert batch[i] == vec_norm(rows[i], tag)
-
-
-class TestOpNorm:
-    def test_l2_diagonal(self):
-        assert op_norm(np.diag([3.0, 4.0]), L2).value == pytest.approx(4.0)
-
-    def test_linf_row_sum(self):
-        res = op_norm([[1, 1], [0, 1]], LINF)
-        assert res.value == 2.0 and res.exact
-
-    def test_l1_permutation(self):
-        assert op_norm([[0, 1], [1, 0]], L1).value == 1.0
-
-    def test_non_square_rejected(self):
-        with pytest.raises(InvalidInput):
-            op_norm(np.ones((2, 3)), L2)
-
-    def test_lp_lower_bound_hits_diagonal(self):
-        # for diagonal matrices every lp operator norm is the max modulus
-        res = op_norm(np.diag([3.0, 4.0]), NormTag.lp(3.0), Tolerance(seed=5))
-        assert not res.exact
-        assert res.value <= 4.0 + 1e-9
-        assert res.value == pytest.approx(4.0, rel=1e-6)
-
-    def test_submultiplicative_exact_tags(self, rng):
-        for tag in (L1, L2, LINF):
-            for _ in range(20):
-                a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                ab = op_norm(a @ b, tag).value
-                bound = op_norm(a, tag).value * op_norm(b, tag).value
-                assert ab <= bound + 1e-9
 
 
 class TestIsIsometry:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 the input
-could not be parsed, validated, or sized (schema, parameters, caps).
+could not be parsed, validated, or sized (schema, parameters, caps, or
+running out of memory).
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ def _run(command: str, scenario_file, out, fmt, eps, samples, cap):
         report = run_pipeline(sc, command, eps=eps, samples=samples, cap=cap)
     except INPUT_ERRORS as exc:
         click.echo(f"input error: {exc}", err=True)
+        sys.exit(2)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        click.echo(f"input error: out of memory{detail}", err=True)
         sys.exit(2)
     except DilationError as exc:  # safety net; pipeline maps these itself
         click.echo(f"error: {exc}", err=True)

@@ -20,8 +20,8 @@ from .errors import (EnumerationCapExceeded, IdentityViolation,
                      ShapeMismatch, SingularFrameOperator, ZeroWindow)
 from .imprimitivity import ProjectiveRep, check_rep
 from .linalg import (EXHAUSTIVE_LIMIT, ISOMETRY_RTOL, NormedSpace, NormTag,
-                     Tolerance, max_abs, require_finite, row_norms, subset_sums,
-                     vec_norm)
+                     Tolerance, max_abs, max_subset_norms, require_finite,
+                     row_norms, subset_sums, vec_norm)
 from .ovm import framing_ovm, evaluate
 from .report import CheckRecord, check, flag
 
@@ -94,16 +94,13 @@ class DilatedBasis:
         c = np.asarray(coeffs, dtype=np.complex128)
         if c.shape != (self.z_dim,):
             raise ShapeMismatch(f"coefficients must have length {self.z_dim}")
-        sums = subset_sums(c[:, None] * self.synth)
-        return float(np.max(row_norms(sums, self.fs.theta.space.norm)))
+        return float(max_subset_norms((c[:, None] * self.synth)[:, None, :],
+                                      self.fs.theta.space.norm)[0])
 
     def z_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.complex128)
-        weighted = rows[:, :, None] * self.synth[None, :, :]   # (N, Z, d)
-        sums = subset_sums(weighted.transpose(1, 0, 2))        # (2^Z, N, d)
-        norms = row_norms(sums.reshape(-1, self.synth.shape[1]),
-                          self.fs.theta.space.norm)
-        return norms.reshape(sums.shape[0], -1).max(axis=0)
+        weighted = rows.T[:, :, None] * self.synth[:, None, :]  # (Z, N, d)
+        return max_subset_norms(weighted, self.fs.theta.space.norm)
 
     def suppressed_norms(self, coeffs) -> np.ndarray:
         """||P_E f||_Z for every index subset E, via max over submasks."""

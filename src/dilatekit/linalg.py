@@ -26,6 +26,8 @@ ISOMETRY_RTOL = 1e-8
 # Set-indexed verification scans are exhaustive up to this many atoms (or
 # basis indices) and fall back to sampling or additive bounds above it.
 EXHAUSTIVE_LIMIT = 12
+# Working memory of one chunk of subset sums in max_subset_norms.
+SUBSET_CHUNK_BYTES = 8 << 20
 
 
 def as_vector(v) -> np.ndarray:
@@ -160,20 +162,34 @@ def vec_norm(v, tag: NormTag) -> float:
     return float(np.sum(mags ** tag.p)) ** (1.0 / tag.p)
 
 
+def _norm_inner(mags: np.ndarray, tag: NormTag) -> np.ndarray:
+    """The norm before its root, over the last axis of nonempty moduli:
+    sum, sum of squares, max, or sum of p-th powers."""
+    if tag.kind == "l1":
+        return mags.sum(axis=-1)
+    if tag.kind == "l2":
+        return (mags * mags).sum(axis=-1)
+    if tag.kind == "linf":
+        return mags.max(axis=-1)
+    return (mags ** tag.p).sum(axis=-1)
+
+
+def _norm_root(inner: np.ndarray, tag: NormTag) -> np.ndarray:
+    """Finish a 1-d array of ``_norm_inner`` values into norms."""
+    if tag.kind == "l2":
+        return np.sqrt(inner)
+    if tag.kind == "lp":
+        inv = 1.0 / tag.p
+        return np.array([float(s) ** inv for s in inner])
+    return inner
+
+
 def row_norms(rows: np.ndarray, tag: NormTag) -> np.ndarray:
     """Vectorised ``vec_norm`` over the rows of a 2-d array."""
     mags = np.abs(np.asarray(rows, dtype=np.complex128))
     if mags.shape[1] == 0:
         return np.zeros(mags.shape[0])
-    if tag.kind == "l1":
-        return mags.sum(axis=1)
-    if tag.kind == "l2":
-        return np.sqrt((mags * mags).sum(axis=1))
-    if tag.kind == "linf":
-        return mags.max(axis=1)
-    inner = (mags ** tag.p).sum(axis=1)
-    inv = 1.0 / tag.p
-    return np.array([float(s) ** inv for s in inner])
+    return _norm_root(_norm_inner(mags, tag), tag)
 
 
 @dataclass(frozen=True)
@@ -300,14 +316,40 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
 
     Row E of the result is sum(values[w] for each bit w of E), accumulated
     in ascending w so the arithmetic matches a naive ascending enumeration
-    bit for bit.
+    bit for bit. Built by doubling: the sets whose top bit is w are the
+    sets below 2^w with values[w] added last.
     """
     m = values.shape[0]
     out = np.zeros((1 << m,) + values.shape[1:], dtype=np.complex128)
-    masks = np.arange(1 << m)
     for w in range(m):
-        out[(masks >> w) & 1 == 1] += values[w]
+        half = 1 << w
+        np.add(out[:half], values[w], out=out[half:2 * half])
     return out
+
+
+def max_subset_norms(values: np.ndarray, tag: NormTag) -> np.ndarray:
+    """For each sample n, the largest norm over all 2^m subset sums.
+
+    ``values`` has shape (m, N, d); entry n of the result is the max over
+    sets E of the norm of ``sum(values[w, n] for w in E)``, equal to
+    ``row_norms`` of every subset sum followed by a max. Samples are
+    processed in chunks whose subset sums stay within
+    ``SUBSET_CHUNK_BYTES`` (one sample at least), the inner reduction is
+    maximised over sets, and the root is taken once per sample. sqrt is
+    correctly rounded, hence monotone, so for l1, l2 and linf the root of
+    the max is the max of the roots bit for bit; for lp it is as long as
+    pow is monotone, and within one ulp of it otherwise.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    m, count, d = values.shape
+    if d == 0 or count == 0:
+        return np.zeros(count)
+    inner = np.empty(count)
+    chunk = max(1, SUBSET_CHUNK_BYTES // ((16 << m) * d))
+    for lo in range(0, count, chunk):
+        mags = np.abs(subset_sums(values[:, lo:lo + chunk]))
+        inner[lo:lo + chunk] = _norm_inner(mags, tag).max(axis=0)
+    return _norm_root(inner, tag)
 
 
 def orthonormal_range(m, tol: Optional[Tolerance] = None) -> np.ndarray:

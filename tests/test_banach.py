@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,20 @@ from dilatekit.banach import (DilationSystem, VectorMeasure, alpha_norm,
                               induced_norm_from_injective, make_phi_x_E,
                               minimality_bound, restrict_probability,
                               verify_dilation)
-from dilatekit.errors import (EnumerationCapExceeded, NotIdempotent,
-                              NotInjective, SemigroupNotSupported)
+from dilatekit.errors import (EnumerationCapExceeded, InvalidInput,
+                              NotIdempotent, NotInjective,
+                              SemigroupNotSupported)
 from dilatekit.hilbert import build_hilbert_dilation, hilbert_as_injective
 from dilatekit.imprimitivity import ImprimitivitySystem, check_rep, check_system
 from dilatekit.linalg import NormTag, NormedSpace, Tolerance, max_abs
 from dilatekit.ovm import Ovm, bessel_ovm
+from dilatekit.scenario import load_scenario
 
-from conftest import general_system, positive_system, shift_rep
+from conftest import (general_system, positive_system, shift_rep,
+                      system_from_scenario)
 
 TOL = Tolerance()
+GOLDEN = Path(__file__).resolve().parents[1] / "scenarios"
 ALL_TAGS = [NormTag.l1(), NormTag.l2(), NormTag.linf(), NormTag.lp(3.0)]
 
 
@@ -337,3 +343,27 @@ class TestMinimalityBound:
             _, _, records = minimality_bound(induced, TOL, samples=300)
             assert all(r.passed for r in records)
             assert "violations=0" in records[-1].notes
+
+    def test_shrunk_R_fails(self):
+        # d(mu) = ||R mu||_2 halves while K comes from the target alone
+        system = system_from_scenario(
+            load_scenario(GOLDEN / "z2_bessel.json"))
+        hd = build_hilbert_dilation(system, TOL)
+        restricted, _ = restrict_probability(hilbert_as_injective(hd), system,
+                                             TOL)
+        induced = induced_norm_from_injective(restricted, system, TOL)
+        _, _, [record] = minimality_bound(induced, TOL, samples=256)
+        assert record.passed
+        induced.R = 0.5 * induced.R
+        _, _, [record] = minimality_bound(induced, TOL, samples=256)
+        assert not record.passed
+        assert "violations=0/" not in record.notes
+
+    def test_non_euclidean_space_rejected(self):
+        system = next(s for s in map(general_system, range(8))
+                      if s.rep.space.norm.kind != "l2")
+        minimal = build_minimal_dilation(system, TOL)
+        induced = induced_norm_from_injective(minimal, system, TOL,
+                                              minimal=minimal)
+        with pytest.raises(InvalidInput):
+            minimality_bound(induced, TOL, samples=8)

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilatekit import linalg
 from dilatekit.errors import InvalidInput
 from dilatekit.linalg import (NormTag, dual_pair, hermitian_eig,
                               hermitian_inner, is_isometry, max_abs,
-                              numeric_rank, row_norms, subset_sums, vec_norm)
+                              max_subset_norms, numeric_rank, row_norms,
+                              subset_sums, vec_norm)
 
 L1, L2, LINF = NormTag.l1(), NormTag.l2(), NormTag.linf()
 ALL_TAGS = [L1, L2, LINF, NormTag.lp(3.0)]
@@ -188,3 +190,53 @@ class TestSubsetSums:
 
     def test_max_abs_empty(self):
         assert max_abs(np.zeros((0, 2))) == 0.0
+
+
+def _reference_max_norms(values, tag):
+    """Every subset norm through row_norms, then the max over sets."""
+    m, count, d = values.shape
+    norms = row_norms(subset_sums(values).reshape(-1, d), tag)
+    return norms.reshape(1 << m, count).max(axis=0)
+
+
+def _random_values(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestMaxSubsetNorms:
+    @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.label())
+    @pytest.mark.parametrize("shape", [(1, 5, 3), (4, 7, 2), (6, 33, 5),
+                                       (9, 4, 1)])
+    def test_matches_every_subset_norm_bit_for_bit(self, rng, tag, shape):
+        values = _random_values(rng, shape)
+        assert np.array_equal(max_subset_norms(values, tag),
+                              _reference_max_norms(values, tag))
+
+    @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.label())
+    def test_ragged_last_chunk(self, rng, monkeypatch, tag):
+        m, count, d = 5, 10, 3
+        values = _random_values(rng, (m, count, d))
+        # room for 3 samples' subset sums per chunk: chunks of 3, 3, 3, 1
+        budget = 3 * (16 << m) * d
+        monkeypatch.setattr(linalg, "SUBSET_CHUNK_BYTES", budget)
+        chunks = []
+
+        def recording(chunk):
+            chunks.append(chunk.shape[1])
+            out = subset_sums(chunk)
+            assert out.nbytes <= budget
+            return out
+
+        monkeypatch.setattr(linalg, "subset_sums", recording)
+        got = max_subset_norms(values, tag)
+        assert chunks == [3, 3, 3, 1]
+        assert np.array_equal(got, _reference_max_norms(values, tag))
+
+    @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.label())
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (3, 0, 2), (3, 4, 0)])
+    def test_empty_cases(self, tag, shape):
+        # no atoms: only the empty set, whose sum is 0; no coordinates:
+        # every vector is 0; no samples: nothing to return
+        got = max_subset_norms(np.zeros(shape, dtype=complex), tag)
+        assert got.shape == (shape[1],)
+        assert np.array_equal(got, np.zeros(shape[1]))

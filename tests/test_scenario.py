@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dilatekit import cli
 from dilatekit.cli import main as cli_main
 from dilatekit.errors import InvalidParams, ParseError, SchemaError, ShapeError
 from dilatekit.pipeline import run_pipeline
@@ -237,3 +238,13 @@ class TestCli:
     def test_missing_payload_command_exit_2(self):
         result = self.run("dilate-framing", str(GOLDEN / "z2_bessel.json"))
         assert result.exit_code == 2
+
+    def test_out_of_memory_exit_2(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB")
+
+        monkeypatch.setattr(cli, "run_pipeline", exhausted)
+        result = self.run("all", str(GOLDEN / "z2_bessel.json"))
+        assert result.exit_code == 2
+        assert ("input error: out of memory: Unable to allocate 2.00 GiB"
+                in result.output)

@@ -165,9 +165,6 @@ class Multiplier:
     omega: np.ndarray
     symmetric: bool
 
-    def value(self, s: int, t: int) -> complex:
-        return complex(self.omega[s, t])
-
 
 def check_multiplier(group: FiniteGroup, omega,
                      tol: Optional[Tolerance] = None) -> Multiplier:
@@ -246,6 +243,15 @@ class MeasurableSpace:
         if not 0 <= mask <= self.full:
             raise InvalidInput(f"set {mask:#x} is not within {self.atoms} atoms")
         return mask
+
+    def set_sum(self, atom_values: np.ndarray, mask: int) -> np.ndarray:
+        """Value on the set ``mask`` of the additive set function with these
+        atom values: their sum over its members, added in ascending order."""
+        self.require(mask)
+        out = np.zeros(atom_values.shape[1:], dtype=np.complex128)
+        for w in self.members(mask):
+            out += atom_values[w]
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,8 @@ from .errors import (ClosureViolation, EnumerationCapExceeded, IdentityViolation
                      SemigroupNotSupported, ShapeMismatch)
 from .imprimitivity import ImprimitivitySystem
 from .linalg import (EXHAUSTIVE_LIMIT, ISOMETRY_RTOL, NormedSpace, Tolerance,
-                     max_abs, max_subset_norms, numeric_rank, orthonormal_range,
+                     block_indicators, invariance_defect, max_abs,
+                     max_subset_norms, numeric_rank, orthonormal_range,
                      subset_sums)
 from .linalg import row_norms  # noqa: F401  (perfbench traces this binding)
 from .ovm import Ovm
@@ -50,11 +51,7 @@ class VectorMeasure:
         object.__setattr__(self, "atom_values", a)
 
     def value(self, mask: int) -> np.ndarray:
-        self.space.require(mask)
-        out = np.zeros(self.target.dim, dtype=np.complex128)
-        for w in self.space.members(mask):
-            out += self.atom_values[w]
-        return out
+        return self.space.set_sum(self.atom_values, mask)
 
 
 def make_phi_x_E(ovm: Ovm, x, mask: int) -> VectorMeasure:
@@ -171,11 +168,7 @@ class DilationSystem:
             self.norm_batch = lambda rows: np.array([single(r) for r in rows])
 
     def rho(self, mask: int) -> np.ndarray:
-        self.space.require(mask)
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for w in self.space.members(mask):
-            out += self.rho_atoms[w]
-        return out
+        return self.space.set_sum(self.rho_atoms, mask)
 
     def sample_carrier(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return (rng.standard_normal((count, self.dim))
@@ -204,10 +197,7 @@ def build_minimal_dilation(system: ImprimitivitySystem,
     n = rep.group.order
     d = ovm.dim
 
-    rho_atoms = np.zeros((m, r, r), dtype=np.complex128)
-    for w in range(m):
-        lo, hi = carrier.offsets[w], carrier.offsets[w + 1]
-        rho_atoms[w, lo:hi, lo:hi] = np.eye(hi - lo)
+    rho_atoms = block_indicators(carrier.offsets)
 
     v_ops = np.zeros((n, r, r), dtype=np.complex128)
     for s in rep.group.elements:
@@ -371,13 +361,7 @@ def restrict_probability(ds: DilationSystem, system: ImprimitivitySystem,
         raise NotIdempotent(idem)
     basis = orthonormal_range(p_full, tol)
     k = basis.shape[1]
-    proj = basis @ basis.conj().T
-    complement = np.eye(ds.dim) - proj
-    worst = 0.0
-    for s in range(ds.v_ops.shape[0]):
-        worst = max(worst, max_abs(complement @ ds.v_ops[s] @ basis))
-    for w in range(ds.rho_atoms.shape[0]):
-        worst = max(worst, max_abs(complement @ ds.rho_atoms[w] @ basis))
+    worst = invariance_defect(basis, (*ds.v_ops, *ds.rho_atoms))
     if worst > tol.eps_residual:
         raise ClosureViolation("restriction to range(rho(Omega))", worst)
 
@@ -404,13 +388,7 @@ def check_q_range_invariance(ds: DilationSystem, system: ImprimitivitySystem,
     """The range of Q is invariant under W_s and under every phi(E)."""
     tol = tol or Tolerance()
     basis = orthonormal_range(ds.Q, tol)
-    d = system.rep.space.dim
-    complement = np.eye(d) - basis @ basis.conj().T
-    worst = 0.0
-    for s in system.rep.group.elements:
-        worst = max(worst, max_abs(complement @ system.rep.matrices[s] @ basis))
-    for w in range(system.ovm.space.atoms):
-        worst = max(worst, max_abs(complement @ system.ovm.atoms[w] @ basis))
+    worst = invariance_defect(basis, (*system.rep.matrices, *system.ovm.atoms))
     return check("range(Q) invariant under W and phi", "restriction(Q-range)",
                  worst, tol.eps_residual)
 
@@ -475,7 +453,7 @@ def induced_norm_from_injective(ds: DilationSystem, system: ImprimitivitySystem,
                 raise NotInjective(c)
         raise NotInjective(None)
 
-    r_t, residuals, *_ = np.linalg.lstsq(gen_coords, gen_images, rcond=None)
+    r_t = np.linalg.lstsq(gen_coords, gen_images, rcond=None)[0]
     r_map = r_t.T
     factor_resid = max_abs(gen_coords @ r_t - gen_images)
 

@@ -20,8 +20,8 @@ from .errors import (EnumerationCapExceeded, IdentityViolation,
                      ShapeMismatch, SingularFrameOperator, ZeroWindow)
 from .imprimitivity import ProjectiveRep, check_rep
 from .linalg import (EXHAUSTIVE_LIMIT, ISOMETRY_RTOL, NormedSpace, NormTag,
-                     Tolerance, max_abs, max_subset_norms, require_finite,
-                     row_norms, subset_sums, vec_norm)
+                     Tolerance, cyclic_shifts, max_abs, max_subset_norms,
+                     require_finite, row_norms, subset_sums, vec_norm)
 from .ovm import framing_ovm, evaluate
 from .report import CheckRecord, check, flag
 
@@ -296,10 +296,7 @@ def cyclic_shift_framing(n: int, r: int, tag: NormTag, seed: int,
     else:
         windows = np.atleast_2d(np.asarray(windows, dtype=np.complex128))
 
-    shifts = np.zeros((n, n, n), dtype=np.complex128)
-    for k in range(n):
-        shifts[k] = np.roll(np.eye(n), k, axis=0)
-
+    shifts = cyclic_shifts(n)
     frame_op = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
         for i in range(r):
@@ -322,11 +319,8 @@ def standard_basis_framing(n: int, tag: Optional[NormTag] = None) -> FramingSyst
     basis with its dual basis, and the induced measure is spectral."""
     tag = tag or NormTag.l2()
     group = cyclic_group(n)
-    shifts = np.zeros((n, n, n), dtype=np.complex128)
-    for k in range(n):
-        shifts[k] = np.roll(np.eye(n), k, axis=0)
     space = NormedSpace(n, tag)
-    rep, _ = check_rep(group, trivial_multiplier(group), space, shifts)
+    rep, _ = check_rep(group, trivial_multiplier(group), space, cyclic_shifts(n))
     delta = np.zeros((1, n), dtype=np.complex128)
     delta[0, 0] = 1.0
     return FramingSystem(theta=rep, windows=delta, duals=delta.copy())

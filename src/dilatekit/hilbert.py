@@ -19,8 +19,9 @@ import numpy as np
 from .errors import (BlockRankMismatch, IdentityViolation, NonUnitaryRep,
                      NotPositive, SemigroupNotSupported)
 from .imprimitivity import ImprimitivitySystem
-from .linalg import (EXHAUSTIVE_LIMIT, Tolerance, hermitian_eig, is_isometry,
-                     max_abs, subset_sums)
+from .linalg import (EXHAUSTIVE_LIMIT, Tolerance, block_indicators,
+                     hermitian_eig, is_isometry, max_abs, subset_sums)
+from .ovm import bessel_bound
 from .report import CheckRecord, check
 
 
@@ -31,23 +32,16 @@ class HilbertDilation:
     block_vectors: Tuple[np.ndarray, ...]  # kept eigenvectors per atom (d, r_w)
     block_values: Tuple[np.ndarray, ...]   # kept eigenvalues per atom (r_w,)
     offsets: Tuple[int, ...]
+    pi_atoms: np.ndarray                   # (m, K, K) block projections pi({w})
     V: np.ndarray                          # (K, d)
     u_tilde: np.ndarray                    # (n, K, K)
     extension: bool                        # nontrivial multiplier accepted
 
     def pi_atom(self, w: int) -> np.ndarray:
-        out = np.zeros((self.K_dim, self.K_dim), dtype=np.complex128)
-        lo, hi = self.offsets[w], self.offsets[w + 1]
-        out[lo:hi, lo:hi] = np.eye(hi - lo)
-        return out
+        return self.pi_atoms[w]
 
     def pi(self, mask: int) -> np.ndarray:
-        self.system.ovm.space.require(mask)
-        out = np.zeros((self.K_dim, self.K_dim), dtype=np.complex128)
-        for w in self.system.ovm.space.members(mask):
-            lo, hi = self.offsets[w], self.offsets[w + 1]
-            out[lo:hi, lo:hi] = np.eye(hi - lo)
-        return out
+        return self.system.ovm.space.set_sum(self.pi_atoms, mask)
 
     def coords_of(self, x, w: int) -> np.ndarray:
         """Class coordinates of the measure phi_{x,{w}} in block w."""
@@ -117,7 +111,9 @@ def build_hilbert_dilation(system: ImprimitivitySystem,
     return HilbertDilation(system=system, K_dim=k_dim,
                            block_vectors=tuple(vectors),
                            block_values=tuple(values),
-                           offsets=tuple(offsets), V=v_map, u_tilde=u_tilde,
+                           offsets=tuple(offsets),
+                           pi_atoms=block_indicators(offsets), V=v_map,
+                           u_tilde=u_tilde,
                            extension=extension)
 
 
@@ -130,8 +126,7 @@ def verify_hilbert_dilation(hd: HilbertDilation, system: ImprimitivitySystem,
     m = ovm.space.atoms
     records = []
 
-    pi_atoms = np.stack([hd.pi_atom(w) for w in range(m)]) if m else None
-    defects = np.stack([hd.V.conj().T @ pi_atoms[w] @ hd.V - ovm.atoms[w]
+    defects = np.stack([hd.V.conj().T @ hd.pi_atoms[w] @ hd.V - ovm.atoms[w]
                         for w in range(m)])
     resid_1 = (max_abs(subset_sums(defects)) if m <= EXHAUSTIVE_LIMIT
                else max_abs(defects) * m)
@@ -164,7 +159,8 @@ def verify_hilbert_dilation(hd: HilbertDilation, system: ImprimitivitySystem,
         for w in range(m):
             w2 = action.point(g, w)
             resid_5 = max(resid_5, max_abs(
-                hd.u_tilde[g] @ pi_atoms[w] @ hd.u_tilde[g].conj().T - pi_atoms[w2]))
+                hd.u_tilde[g] @ hd.pi_atoms[w] @ hd.u_tilde[g].conj().T
+                - hd.pi_atoms[w2]))
     records.append(check("covariance U~_g pi(E) U~_g* = pi(gE)", "hilbert(5)",
                          resid_5, eps, notes="checked on atoms; pi is additive"))
 
@@ -172,11 +168,7 @@ def verify_hilbert_dilation(hd: HilbertDilation, system: ImprimitivitySystem,
                          max_abs(hd.pi(ovm.space.full) - np.eye(hd.K_dim)), eps))
 
     v_norm = float(np.linalg.svd(hd.V, compute_uv=False)[0]) if hd.K_dim else 0.0
-    total = np.zeros((ovm.dim, ovm.dim), dtype=np.complex128)
-    for w in range(m):
-        total += ovm.atoms[w]
-    phi_norm = float(np.linalg.svd(total, compute_uv=False)[0]) if total.size else 0.0
-    expected = np.sqrt(phi_norm)
+    expected = np.sqrt(bessel_bound(ovm))
     resid_7 = abs(v_norm - expected) / (1.0 + expected)
     records.append(check("||V|| = ||phi(Omega)||^(1/2)", "hilbert(7)", resid_7, eps,
                          notes=f"||V||={v_norm:.12g}"))
@@ -191,12 +183,10 @@ def hilbert_as_injective(hd: HilbertDilation):
     from .banach import DilationSystem  # local import avoids a cycle
 
     system = hd.system
-    m = system.ovm.space.atoms
-    pi_atoms = np.stack([hd.pi_atom(w) for w in range(m)])
     return DilationSystem(
         group=system.rep.group, multiplier=system.rep.multiplier,
         space=system.ovm.space, target=system.ovm.target, dim=hd.K_dim,
-        v_ops=hd.u_tilde, rho_atoms=pi_atoms,
+        v_ops=hd.u_tilde, rho_atoms=hd.pi_atoms,
         Q=hd.V.conj().T, T=hd.V,
         norm=lambda c: float(np.linalg.norm(np.asarray(c, dtype=np.complex128))),
         norm_batch=lambda rows: np.linalg.norm(

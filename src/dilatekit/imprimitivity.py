@@ -91,14 +91,6 @@ class ImprimitivitySystem:
     ovm_class: OvmClass
     covariance_residuals: Optional[np.ndarray] = None  # (n, m), per (s, atom)
 
-    @property
-    def kind(self) -> str:
-        if self.ovm_class.spectral:
-            return "spectral"
-        if self.ovm_class.positive:
-            return "positive"
-        return "operator-valued"
-
 
 def covariance_residuals(rep: ProjectiveRep, ovm: Ovm, action: GroupAction
                          ) -> np.ndarray:

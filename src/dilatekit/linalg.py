@@ -130,8 +130,8 @@ class Tolerance:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps_residual <= 0 or self.eps_rank <= 0:
-            raise InvalidInput("tolerances must be positive")
+        if not (0 < self.eps_residual < math.inf and 0 < self.eps_rank < math.inf):
+            raise InvalidInput("tolerances must be finite and positive")
         if self.sample_count < 1:
             raise InvalidInput("sample_count must be >= 1")
         if self.seed < 0:
@@ -350,6 +350,55 @@ def max_subset_norms(values: np.ndarray, tag: NormTag) -> np.ndarray:
         mags = np.abs(subset_sums(values[:, lo:lo + chunk]))
         inner[lo:lo + chunk] = _norm_inner(mags, tag).max(axis=0)
     return _norm_root(inner, tag)
+
+
+def block_indicators(offsets) -> np.ndarray:
+    """The m projections of C^offsets[-1] onto the coordinate blocks
+    offsets[w]:offsets[w + 1], stacked."""
+    m, r = len(offsets) - 1, offsets[-1]
+    out = np.zeros((m, r, r), dtype=np.complex128)
+    for w in range(m):
+        lo, hi = offsets[w], offsets[w + 1]
+        out[w, lo:hi, lo:hi] = np.eye(hi - lo)
+    return out
+
+
+def invariance_defect(basis: np.ndarray, operators) -> float:
+    """Largest ||(I - B B*) A B|| over the operators A, for orthonormal
+    columns B: 0 exactly when every A maps range(B) into itself."""
+    complement = np.eye(basis.shape[0]) - basis @ basis.conj().T
+    worst = 0.0
+    for a in operators:
+        worst = max(worst, max_abs(complement @ a @ basis))
+    return worst
+
+
+def cyclic_shifts(n: int) -> np.ndarray:
+    """The n cyclic shifts of C^n, stacked: entry k sends e_i to e_{i+k mod n}."""
+    out = np.zeros((n, n, n), dtype=np.complex128)
+    for k in range(n):
+        out[k] = np.roll(np.eye(n), k, axis=0)
+    return out
+
+
+def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Haar-random d x d unitary from the QR factors of a Gaussian matrix."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_cyclic_unitaries(rng: np.random.Generator, n: int, d: int
+                            ) -> np.ndarray:
+    """Random unitary representation of Z_n on C^d: a random eigenbasis
+    with n-th roots of unity as the generator's eigenvalues."""
+    basis = random_unitary(rng, d)
+    frequencies = rng.integers(0, n, size=d)
+    out = np.zeros((n, d, d), dtype=np.complex128)
+    for g in range(n):
+        phases = np.exp(2j * np.pi * frequencies * g / n)
+        out[g] = (basis * phases) @ basis.conj().T
+    return out
 
 
 def orthonormal_range(m, tol: Optional[Tolerance] = None) -> np.ndarray:

@@ -60,12 +60,7 @@ class OvmClass:
 
 def evaluate(ovm: Ovm, mask: int) -> np.ndarray:
     """Value of the measure on a set: the sum of its atom values."""
-    ovm.space.require(mask)
-    d = ovm.dim
-    out = np.zeros((d, d), dtype=np.complex128)
-    for w in ovm.space.members(mask):
-        out += ovm.atoms[w]
-    return out
+    return ovm.space.set_sum(ovm.atoms, mask)
 
 
 def classify(ovm: Ovm, tol: Optional[Tolerance] = None) -> OvmClass:

@@ -23,7 +23,7 @@ from .errors import (DilationError, EnumerationCapExceeded, InvalidInput,
                      ShapeError)
 from .framing import (FramingSystem, build_dilated_basis, verify_basis_dilation,
                       verify_framing)
-from .imprimitivity import check_rep, check_system
+from .imprimitivity import ImprimitivitySystem, check_rep, check_system
 from .linalg import NormedSpace, Tolerance, numeric_rank
 from .ovm import Ovm, bessel_bound, framing_ovm
 from .report import CheckRecord, Report, check, failure, flag
@@ -94,23 +94,21 @@ def _materialize(sc: Scenario, tol: Tolerance) -> Materialized:
     return out
 
 
-def _framing_system(mat: Materialized, tol: Tolerance):
-    """Induced imprimitivity system of a framing payload."""
+def _system(mat: Materialized, tol: Tolerance
+            ) -> Tuple[ImprimitivitySystem, List[CheckRecord]]:
+    """The payload's imprimitivity system: the measure's, already checked,
+    or the one a framing induces, with the records of its check."""
+    if mat.system is not None:
+        return mat.system, []
     fs = mat.framing
     measure = framing_ovm(fs.theta, fs.windows, fs.duals)
-    system, recs = check_system(fs.theta, measure, mat.action, tol)
-    return system, recs
+    return check_system(fs.theta, measure, mat.action, tol)
 
 
 def _banach_stage(mat: Materialized, tol: Tolerance, cap: int
                   ) -> Tuple[banach.DilationSystem, List[CheckRecord]]:
     """Minimal dilation with the records of its single verification."""
-    records = []
-    if mat.system is not None:
-        system = mat.system
-    else:
-        system, recs = _framing_system(mat, tol)
-        records.extend(recs)
+    system, records = _system(mat, tol)
     ds = banach.build_minimal_dilation(system, tol, cap)
     expected = sum(numeric_rank(system.ovm.atoms[w], tol)
                    for w in range(system.ovm.space.atoms))
@@ -123,10 +121,7 @@ def _banach_stage(mat: Materialized, tol: Tolerance, cap: int
 
 def _hilbert_stage(mat: Materialized, tol: Tolerance
                    ) -> Tuple[hilbert.HilbertDilation, List[CheckRecord]]:
-    if mat.system is None:
-        system, _ = _framing_system(mat, tol)
-    else:
-        system = mat.system
+    system = _system(mat, tol)[0]
     hd = hilbert.build_hilbert_dilation(system, tol)
     return hd, hilbert.verify_hilbert_dilation(hd, system, tol)
 

@@ -19,11 +19,11 @@ import numpy as np
 
 from .errors import InvalidParams, ParseError, SchemaError, ShapeError
 from .framing import cyclic_shift_framing, standard_basis_framing
-from .linalg import NormTag, Tolerance
+from .linalg import (NormedSpace, NormTag, Tolerance, cyclic_shifts,
+                     random_cyclic_unitaries, random_unitary)
 from .ovm import bessel_ovm
 from .algebra import cyclic_group, trivial_multiplier
 from .imprimitivity import check_rep
-from .linalg import NormedSpace
 
 SCHEMA_VERSION = 1
 
@@ -156,10 +156,23 @@ def _require(data: dict, key: str, parent: str = ""):
     return data[key]
 
 
+def _integer(value, fieldname: str) -> int:
+    """A JSON integer. Integral floats such as 2.0 count; booleans,
+    fractions and other types do not."""
+    if isinstance(value, bool):
+        raise SchemaError(fieldname, "must be an integer, not a boolean")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise SchemaError(fieldname, f"must be an integer, got {value!r}")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise SchemaError("<root>", "scenario must be a JSON object")
-    version = data.get("schema_version", SCHEMA_VERSION)
+    version = _integer(data.get("schema_version", SCHEMA_VERSION),
+                       "schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError("schema_version", f"unsupported version {version!r}")
 
@@ -170,8 +183,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         tolerance = Tolerance(
             eps_residual=float(tol_raw.get("eps_residual", 1e-9)),
             eps_rank=float(tol_raw.get("eps_rank", 1e-10)),
-            sample_count=int(tol_raw.get("sample_count", 256)),
-            seed=int(tol_raw.get("seed", 0)),
+            sample_count=_integer(tol_raw.get("sample_count", 256),
+                                  "tolerance.sample_count"),
+            seed=_integer(tol_raw.get("seed", 0), "tolerance.seed"),
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError("tolerance", str(exc))
@@ -185,15 +199,15 @@ def scenario_from_dict(data: dict) -> Scenario:
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] == 0:
         raise ShapeError("group.table", f"must be square, got {table.shape}")
     n = table.shape[0]
-    declared = group_raw.get("order", n)
+    declared = _integer(group_raw.get("order", n), "group.order")
     if declared != n:
         raise SchemaError("group.order", f"declares {declared}, table has {n}")
     if table.min() < 0 or table.max() >= n:
         raise SchemaError("group.table", "entry out of range 0..n-1")
 
     space_raw = _require(data, "space")
-    dim = _require(space_raw, "dim", "space")
-    if not isinstance(dim, int) or dim < 1:
+    dim = _integer(_require(space_raw, "dim", "space"), "space.dim")
+    if dim < 1:
         raise SchemaError("space.dim", "must be a positive integer")
     norm = _decode_norm(_require(space_raw, "norm", "space"), "space.norm")
 
@@ -275,19 +289,6 @@ def load_scenario(path) -> Scenario:
 
 # -- generators -----------------------------------------------------------------
 
-def _shift_matrices(n: int) -> np.ndarray:
-    out = np.zeros((n, n, n), dtype=np.complex128)
-    for k in range(n):
-        out[k] = np.roll(np.eye(n), k, axis=0)
-    return out
-
-
-def _random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def _norm_from_param(p) -> NormTag:
     if p in (None, "l2", 2, 2.0):
         return NormTag.l2()
@@ -334,14 +335,9 @@ def gen_example(kind: str, params: dict, seed: int) -> Scenario:
             raise InvalidParams("bessel-cyclic needs n >= 1 and d >= 1")
         group = cyclic_group(n)
         if d == n:
-            matrices = _shift_matrices(n)
+            matrices = cyclic_shifts(n)
         else:
-            basis = _random_unitary(rng, d)
-            frequencies = rng.integers(0, n, size=d)
-            matrices = np.zeros((n, d, d), dtype=np.complex128)
-            for g in range(n):
-                phases = np.exp(2j * np.pi * frequencies * g / n)
-                matrices[g] = (basis * phases) @ basis.conj().T
+            matrices = random_cyclic_unitaries(rng, n, d)
         f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         f /= np.linalg.norm(f)
         space = NormedSpace(d, NormTag.l2())
@@ -370,9 +366,9 @@ def gen_example(kind: str, params: dict, seed: int) -> Scenario:
     if kind == "spectral-random":
         m = int(params.get("m", params.get("n", 3)))
         d = int(params.get("d", 3))
-        if m < 1 or d < 1 or d < 1:
+        if m < 1 or d < 1:
             raise InvalidParams("spectral-random needs m >= 1 and d >= 1")
-        basis = _random_unitary(rng, d)
+        basis = random_unitary(rng, d)
         assignment = rng.integers(0, m, size=d)
         atoms = np.zeros((m, d, d), dtype=np.complex128)
         for w in range(m):

@@ -16,7 +16,8 @@ from dilatekit.algebra import (FiniteGroup, GroupAction, MeasurableSpace,
                                coboundary_multiplier)
 from dilatekit.imprimitivity import (ImprimitivitySystem, ProjectiveRep,
                                      check_rep, check_system)
-from dilatekit.linalg import NormTag, NormedSpace, Tolerance
+from dilatekit.linalg import (NormTag, NormedSpace, Tolerance, cyclic_shifts,
+                              random_cyclic_unitaries, random_unitary)
 from dilatekit.ovm import Ovm
 
 TOL = Tolerance()
@@ -26,23 +27,10 @@ def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def shift_matrices(n: int) -> np.ndarray:
-    out = np.zeros((n, n, n), dtype=np.complex128)
-    for k in range(n):
-        out[k] = np.roll(np.eye(n), k, axis=0)
-    return out
-
-
-def random_unitary(rng, d: int) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def shift_rep(n: int, tag: NormTag) -> ProjectiveRep:
     group = cyclic_group(n)
     rep, _ = check_rep(group, trivial_multiplier(group), NormedSpace(n, tag),
-                       shift_matrices(n))
+                       cyclic_shifts(n))
     return rep
 
 
@@ -53,7 +41,7 @@ def phased_shift_rep(n: int, tag: NormTag, rng) -> ProjectiveRep:
     phases = np.exp(2j * np.pi * rng.random(n))
     phases[group.identity] = 1.0
     omega = check_multiplier(group, coboundary_multiplier(group, phases))
-    mats = phases[:, None, None] * shift_matrices(n)
+    mats = phases[:, None, None] * cyclic_shifts(n)
     rep, _ = check_rep(group, omega, NormedSpace(n, tag), mats)
     return rep
 
@@ -92,14 +80,8 @@ def s3_natural_action(group: FiniteGroup) -> GroupAction:
 def unitary_rep_of_order(group: FiniteGroup, d: int, rng) -> ProjectiveRep:
     """Random unitary representation of a cyclic group on C^d via root-of-
     unity eigenphases."""
-    n = group.order
-    basis = random_unitary(rng, d)
-    freqs = rng.integers(0, n, size=d)
-    mats = np.zeros((n, d, d), dtype=np.complex128)
-    for g in range(n):
-        mats[g] = (basis * np.exp(2j * np.pi * freqs * g / n)) @ basis.conj().T
     rep, _ = check_rep(group, trivial_multiplier(group), NormedSpace(d, NormTag.l2()),
-                       mats)
+                       random_cyclic_unitaries(rng, group.order, d))
     return rep
 
 
@@ -225,19 +207,14 @@ def z2_swap_framing():
     """Worked example: the swap representation on l2(2) with delta windows."""
     from dilatekit.framing import FramingSystem
     g = cyclic_group(2)
-    mats = np.stack([np.eye(2), np.roll(np.eye(2), 1, axis=0)]).astype(complex)
     rep, _ = check_rep(g, trivial_multiplier(g), NormedSpace(2, NormTag.l2()),
-                       mats)
+                       cyclic_shifts(2))
     return FramingSystem(theta=rep, windows=[[1.0, 0.0]], duals=[[1.0, 0.0]])
 
 
 def system_from_scenario(sc):
-    from dilatekit.pipeline import _framing_system, _materialize
-    mat = _materialize(sc, sc.tolerance)
-    if mat.system is not None:
-        return mat.system
-    system, _ = _framing_system(mat, sc.tolerance)
-    return system
+    from dilatekit.pipeline import _materialize, _system
+    return _system(_materialize(sc, sc.tolerance), sc.tolerance)[0]
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from dilatekit.algebra import (MeasurableSpace, act_on_set, check_action,
 from dilatekit.errors import (ActionViolation, AssociativityViolation,
                               CocycleViolation, InvalidInput, ModulusViolation,
                               NoIdentity, NoInverse, NormalizationViolation)
+from dilatekit.linalg import subset_sums
 
 from conftest import z2_on_five_points
 
@@ -194,6 +195,23 @@ class TestMeasurableSpace:
             MeasurableSpace(0)
         with pytest.raises(InvalidInput):
             MeasurableSpace(63)
+
+    def test_set_sum_is_the_ascending_loop(self, rng):
+        space = MeasurableSpace(6)
+        values = (rng.standard_normal((6, 3, 2))
+                  + 1j * rng.standard_normal((6, 3, 2)))
+        masks = [0, space.full] + [int(k) for k in rng.integers(1, space.full, 20)]
+        sums = subset_sums(values)
+        for mask in masks:
+            expected = np.zeros((3, 2), dtype=complex)
+            for w in range(6):
+                if mask >> w & 1:
+                    expected += values[w]
+            assert np.array_equal(space.set_sum(values, mask), expected)
+            assert np.array_equal(space.set_sum(values, mask), sums[mask])
+        for mask in (-1, space.full + 1):
+            with pytest.raises(InvalidInput):
+                space.set_sum(values, mask)
 
     def test_members(self):
         space = MeasurableSpace(4)

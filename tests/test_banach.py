@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,17 @@ class TestMinimalDilation:
             for w in range(system.ovm.space.atoms):
                 restricted = ds.rho_atoms[w] @ coords
                 assert carrier.alpha_of_coords(restricted) <= full + 1e-12
+
+    def test_dropped_rho_block_fails_e(self):
+        system = general_system(3)
+        ds = build_minimal_dilation(system, TOL)
+        rho_atoms = ds.rho_atoms.copy()
+        rho_atoms[1] = 0.0
+        corrupted = dataclasses.replace(ds, rho_atoms=rho_atoms)
+        by_code = {r.paper_item: r
+                   for r in verify_dilation(corrupted, system, TOL, samples=8)}
+        assert not by_code["dilation(e)"].passed
+        assert by_code["dilation(e)"].max_residual == 1.0
 
     def test_rho_lattice_identities(self):
         system = general_system(2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,20 @@ class TestProperties:
         assert all(r.passed for r in records)
         product_rule = [r for r in records if r.paper_item == "hilbert(3)"][0]
         assert "extension" in product_rule.notes
+
+    @pytest.mark.parametrize("field,index,failing", [
+        ("pi_atoms", 0, {"hilbert(1)", "hilbert(5)", "hilbert(6)"}),
+        ("V", ..., {"hilbert(1)", "hilbert(7)"}),
+        ("u_tilde", 1, {"hilbert(2)", "hilbert(3)", "hilbert(4)", "hilbert(5)"}),
+    ])
+    def test_corrupted_part_fails_its_checks(self, field, index, failing):
+        system = positive_system(1)
+        hd = build_hilbert_dilation(system, TOL)
+        part = getattr(hd, field).copy()
+        part[index] *= 0.5
+        hd = dataclasses.replace(hd, **{field: part})
+        records = verify_hilbert_dilation(hd, system, TOL)
+        assert {r.paper_item for r in records if not r.passed} == failing
 
     def test_adapter_is_valid_dilation_system(self):
         from dilatekit.banach import verify_dilation

@@ -71,7 +71,7 @@ class TestCheckSystem:
         measure = bessel_ovm(rep, [1.0, 0.0])
         system, records = check_system(rep, measure,
                                        left_translation_action(rep.group))
-        assert system.kind == "spectral"
+        assert system.ovm_class.spectral
         assert all(r.passed for r in records)
 
     def test_trivial_group_always_covariant(self, rng):
@@ -85,7 +85,7 @@ class TestCheckSystem:
         action = check_action(g, space, np.arange(4)[None, :])
         system, _ = check_system(rep, Ovm(space=space, target=rep.space,
                                           atoms=atoms), action)
-        assert system.kind == "operator-valued"
+        assert not (system.ovm_class.positive or system.ovm_class.spectral)
 
     def test_perturbed_atom_reports_residual(self):
         rep = shift_rep(2, NormTag.l2())

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from dilatekit import linalg
 from dilatekit.errors import InvalidInput
-from dilatekit.linalg import (NormTag, dual_pair, hermitian_eig,
-                              hermitian_inner, is_isometry, max_abs,
-                              max_subset_norms, numeric_rank, row_norms,
+from dilatekit.linalg import (NormTag, cyclic_shifts, dual_pair,
+                              hermitian_eig, hermitian_inner, invariance_defect,
+                              is_isometry, max_abs, max_subset_norms,
+                              numeric_rank, random_unitary, row_norms,
                               subset_sums, vec_norm)
 
 L1, L2, LINF = NormTag.l1(), NormTag.l2(), NormTag.linf()
@@ -95,9 +96,7 @@ class TestIsIsometry:
         # spec invariant: certified isometries move no vector's norm
         cases = [(np.array([[0, 1j], [1, 0]]), L1),
                  (np.array([[0, 1], [1, 0]]), LINF)]
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4))
-                            + 1j * rng.standard_normal((4, 4)))
-        cases.append((q, L2))
+        cases.append((random_unitary(rng, 4), L2))
         for mat, tag in cases:
             assert is_isometry(mat, tag).ok
             for _ in range(100):
@@ -240,3 +239,14 @@ class TestMaxSubsetNorms:
         got = max_subset_norms(np.zeros(shape, dtype=complex), tag)
         assert got.shape == (shape[1],)
         assert np.array_equal(got, np.zeros(shape[1]))
+
+
+class TestInvarianceDefect:
+    def test_invariant_operators_give_zero(self):
+        line = np.eye(3, dtype=complex)[:, :1]
+        assert invariance_defect(line, [np.diag([2.0, 3.0, 4.0]), np.eye(3)]) == 0.0
+
+    def test_non_invariant_operator_gives_positive_defect(self):
+        line = np.eye(3, dtype=complex)[:, :1]
+        shift = cyclic_shifts(3)[1]  # e_0 -> e_1 leaves span(e_0)
+        assert invariance_defect(line, [np.eye(3), shift]) == 1.0

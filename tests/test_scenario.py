@@ -8,7 +8,8 @@ from click.testing import CliRunner
 
 from dilatekit import cli
 from dilatekit.cli import main as cli_main
-from dilatekit.errors import InvalidParams, ParseError, SchemaError, ShapeError
+from dilatekit.errors import (InvalidInput, InvalidParams, ParseError,
+                              SchemaError, ShapeError)
 from dilatekit.pipeline import run_pipeline
 from dilatekit.scenario import (gen_example, load_scenario,
                                 save_scenario, scenario_digest,
@@ -126,6 +127,39 @@ class TestSchemaErrors:
         with pytest.raises(InvalidParams):
             gen_example("unknown-kind", {}, seed=0)
 
+    @pytest.mark.parametrize("key", ["eps_residual", "eps_rank"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, key, value):
+        data = self._base()
+        data["tolerance"][key] = value
+        with pytest.raises(InvalidInput, match="finite and positive"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("path,value", [
+        (("space", "dim"), True),
+        (("group", "order"), True),
+        (("tolerance", "sample_count"), 2.9),
+        (("tolerance", "seed"), 1.5),
+        (("schema_version",), True),
+    ], ids=lambda case: ".".join(case) if isinstance(case, tuple) else repr(case))
+    def test_loose_integer_rejected(self, path, value):
+        # n = d = 1, where True == 1 would pass every shape comparison
+        data = json.loads(json.dumps(serialize_scenario(
+            gen_example("bessel-cyclic", {"n": 1, "d": 1}, seed=1))))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.field == ".".join(path)
+
+    def test_integral_float_accepted(self):
+        data = self._base()
+        data["tolerance"]["sample_count"] = 3.0
+        sample_count = scenario_from_dict(data).tolerance.sample_count
+        assert sample_count == 3 and type(sample_count) is int
+
 
 class TestGeneratedScenariosValidate:
     @pytest.mark.parametrize("kind,params", ALL_KINDS)
@@ -234,6 +268,21 @@ class TestCli:
         result = self.run("dilate-banach", str(GOLDEN / "z3_regular_bessel.json"),
                           "--eps", "1e-30")
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exit_2(self, eps):
+        result = self.run("all", str(GOLDEN / "z2_bessel.json"), "--eps", eps)
+        assert result.exit_code == 2
+        assert "tolerances must be finite and positive" in result.output
+
+    def test_nan_eps_in_scenario_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        data = json.loads((GOLDEN / "z2_bessel.json").read_text())
+        data["tolerance"]["eps_residual"] = math.nan
+        bad.write_text(json.dumps(data))  # json writes the token NaN
+        result = self.run("all", str(bad))
+        assert result.exit_code == 2
+        assert "tolerances must be finite and positive" in result.output
 
     def test_missing_payload_command_exit_2(self):
         result = self.run("dilate-framing", str(GOLDEN / "z2_bessel.json"))

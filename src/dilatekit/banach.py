@@ -19,9 +19,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .algebra import FiniteGroup, GroupAction, MeasurableSpace, Multiplier
-from .errors import (ClosureViolation, EnumerationCapExceeded, IdentityViolation,
-                     InvalidInput, NotIdempotent, NotInjective,
-                     SemigroupNotSupported, ShapeMismatch)
+from .errors import (ClosureViolation, EnumerationCapExceeded, InvalidInput,
+                     NotIdempotent, NotInjective, SemigroupNotSupported,
+                     ShapeMismatch)
 from .imprimitivity import ImprimitivitySystem
 from .linalg import (EXHAUSTIVE_LIMIT, ISOMETRY_RTOL, NormedSpace, Tolerance,
                      block_indicators, invariance_defect, max_abs,
@@ -160,7 +160,6 @@ class DilationSystem:
     norm: Callable[[np.ndarray], float]
     norm_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     carrier: Optional[DilationSpaceAlpha] = None
-    checks: List[CheckRecord] = field(default_factory=list)
 
     def __post_init__(self):
         if self.norm_batch is None:
@@ -183,9 +182,9 @@ def build_minimal_dilation(system: ImprimitivitySystem,
     On atom-value coordinates the operators are: rho(E) zeroes the atoms
     outside E (block indicators), V_s sends atom w to s.w through W_s,
     Q evaluates at the full set, and T(x) is the measure with atom values
-    phi({w}) x. Every operator is checked to map M_phi into itself and the
-    full identity suite is verified before returning, its records kept in
-    ``checks``; groups only, since V_s needs s^-1 on sets.
+    phi({w}) x. Every operator is checked to map M_phi into itself; the
+    identity suite is left to :func:`verify_dilation`. Groups only, since
+    V_s needs s^-1 on sets.
     """
     tol = tol or Tolerance()
     rep, ovm, action = system.rep, system.ovm, system.action
@@ -222,16 +221,11 @@ def build_minimal_dilation(system: ImprimitivitySystem,
                              for w, b in enumerate(carrier.blocks)], axis=0)
              if r else np.zeros((0, d), dtype=np.complex128))
 
-    ds = DilationSystem(group=rep.group, multiplier=rep.multiplier,
-                        space=ovm.space, target=ovm.target, dim=r,
-                        v_ops=v_ops, rho_atoms=rho_atoms, Q=q_mat, T=t_mat,
-                        norm=carrier.alpha_of_coords,
-                        norm_batch=carrier.alpha_batch, carrier=carrier)
-    ds.checks = verify_dilation(ds, system, tol)
-    for record in ds.checks:
-        if not record.passed:
-            raise IdentityViolation(record.name, record.max_residual)
-    return ds
+    return DilationSystem(group=rep.group, multiplier=rep.multiplier,
+                          space=ovm.space, target=ovm.target, dim=r,
+                          v_ops=v_ops, rho_atoms=rho_atoms, Q=q_mat, T=t_mat,
+                          norm=carrier.alpha_of_coords,
+                          norm_batch=carrier.alpha_batch, carrier=carrier)
 
 
 def _set_images(action: GroupAction, s: int) -> np.ndarray:
@@ -346,13 +340,13 @@ def verify_dilation(ds: DilationSystem, system: ImprimitivitySystem,
 
 
 def restrict_probability(ds: DilationSystem, system: ImprimitivitySystem,
-                         tol: Optional[Tolerance] = None
-                         ) -> Tuple[DilationSystem, List[CheckRecord]]:
+                         tol: Optional[Tolerance] = None) -> DilationSystem:
     """Restrict a dilation system to the range of rho(Omega).
 
     rho(Omega) must be idempotent; its range is invariant under every V_s
     and rho(E), and the restriction (with T replaced by rho(Omega) T) is a
-    probability dilation system of the same pair, verified before return.
+    probability dilation system of the same pair once
+    :func:`verify_dilation` passes on it.
     """
     tol = tol or Tolerance()
     p_full = ds.rho(ds.space.full)
@@ -366,7 +360,7 @@ def restrict_probability(ds: DilationSystem, system: ImprimitivitySystem,
         raise ClosureViolation("restriction to range(rho(Omega))", worst)
 
     bh = basis.conj().T
-    restricted = DilationSystem(
+    return DilationSystem(
         group=ds.group, multiplier=ds.multiplier, space=ds.space,
         target=ds.target, dim=k,
         v_ops=np.stack([bh @ v @ basis for v in ds.v_ops]) if k else
@@ -379,8 +373,6 @@ def restrict_probability(ds: DilationSystem, system: ImprimitivitySystem,
         norm_batch=lambda rows: ds.norm_batch(
             np.asarray(rows, dtype=np.complex128) @ basis.T),
     )
-    records = verify_dilation(restricted, system, tol)
-    return restricted, records
 
 
 def check_q_range_invariance(ds: DilationSystem, system: ImprimitivitySystem,

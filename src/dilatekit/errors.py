@@ -10,10 +10,12 @@ class DilationError(Exception):
     """Base class for all package errors.
 
     ``failed_check`` is the ``(name, code)`` of the report check that the
-    pipeline records as failed when the error escapes a stage.
+    pipeline records as failed when the error escapes a stage, with the
+    measured ``residual`` where the error has one and inf otherwise.
     """
 
     failed_check = ("pipeline", "pipeline.error")
+    residual = float("inf")
 
 
 class InvalidInput(DilationError):
@@ -172,15 +174,6 @@ class ClosureViolation(DilationError):
         super().__init__(f"{op} does not map the dilation space into itself, "
                          f"residual {residual:.3e}")
         self.op = op
-        self.residual = residual
-
-
-class IdentityViolation(DilationError):
-    failed_check = ("dilation identity suite", "dilation.identities")
-
-    def __init__(self, name: str, residual: float):
-        super().__init__(f"dilation identity '{name}' fails, residual {residual:.3e}")
-        self.name = name
         self.residual = residual
 
 

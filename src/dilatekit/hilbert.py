@@ -16,8 +16,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (BlockRankMismatch, IdentityViolation, NonUnitaryRep,
-                     NotPositive, SemigroupNotSupported)
+from .errors import (BlockRankMismatch, NonUnitaryRep, NotPositive,
+                     SemigroupNotSupported)
 from .imprimitivity import ImprimitivitySystem
 from .linalg import (EXHAUSTIVE_LIMIT, Tolerance, block_indicators,
                      hermitian_eig, is_isometry, max_abs, subset_sums)
@@ -36,9 +36,6 @@ class HilbertDilation:
     V: np.ndarray                          # (K, d)
     u_tilde: np.ndarray                    # (n, K, K)
     extension: bool                        # nontrivial multiplier accepted
-
-    def pi_atom(self, w: int) -> np.ndarray:
-        return self.pi_atoms[w]
 
     def pi(self, mask: int) -> np.ndarray:
         return self.system.ovm.space.set_sum(self.pi_atoms, mask)
@@ -103,9 +100,6 @@ def build_hilbert_dilation(system: ImprimitivitySystem,
             blk = (np.sqrt(values[w2])[:, None] * vectors[w2].conj().T
                    @ ug @ vectors[w]) / np.sqrt(values[w])[None, :]
             u_tilde[g, offsets[w2]:offsets[w2 + 1], offsets[w]:offsets[w + 1]] = blk
-        resid = max_abs(u_tilde[g].conj().T @ u_tilde[g] - np.eye(k_dim))
-        if resid > tol.eps_residual:
-            raise IdentityViolation(f"lifted operator {g} unitary", resid)
 
     extension = max_abs(rep.multiplier.omega - 1.0) > tol.eps_residual
     return HilbertDilation(system=system, K_dim=k_dim,

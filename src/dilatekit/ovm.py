@@ -52,11 +52,6 @@ class OvmClass:
     positive: bool
     spectral: bool
 
-    @property
-    def projection_valued(self) -> bool:
-        # projection-valued and spectral coincide for measures
-        return self.spectral
-
 
 def evaluate(ovm: Ovm, mask: int) -> np.ndarray:
     """Value of the measure on a set: the sum of its atom values."""

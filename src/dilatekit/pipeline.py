@@ -25,7 +25,7 @@ from .framing import (FramingSystem, build_dilated_basis, verify_basis_dilation,
                       verify_framing)
 from .imprimitivity import ImprimitivitySystem, check_rep, check_system
 from .linalg import NormedSpace, Tolerance, numeric_rank
-from .ovm import Ovm, bessel_bound, framing_ovm
+from .ovm import Ovm, bessel_bound
 from .report import CheckRecord, Report, check, failure, flag
 from .scenario import Scenario, scenario_digest
 
@@ -101,13 +101,12 @@ def _system(mat: Materialized, tol: Tolerance
     if mat.system is not None:
         return mat.system, []
     fs = mat.framing
-    measure = framing_ovm(fs.theta, fs.windows, fs.duals)
-    return check_system(fs.theta, measure, mat.action, tol)
+    return check_system(fs.theta, fs.measure, mat.action, tol)
 
 
 def _banach_stage(mat: Materialized, tol: Tolerance, cap: int
                   ) -> Tuple[banach.DilationSystem, List[CheckRecord]]:
-    """Minimal dilation with the records of its single verification."""
+    """Minimal dilation with the records of its verification."""
     system, records = _system(mat, tol)
     ds = banach.build_minimal_dilation(system, tol, cap)
     expected = sum(numeric_rank(system.ovm.atoms[w], tol)
@@ -115,7 +114,7 @@ def _banach_stage(mat: Materialized, tol: Tolerance, cap: int
     records.append(flag("dim of the dilation space equals the atom-rank sum",
                         "dilation(dim)", ds.dim == expected,
                         notes=f"dim = {ds.dim}"))
-    records.extend(ds.checks)
+    records.extend(banach.verify_dilation(ds, system, tol))
     return ds, records
 
 
@@ -134,7 +133,8 @@ def _prop_chain_stage(mat: Materialized, hd: hilbert.HilbertDilation,
     system = mat.system
     records = []
     adapter = hilbert.hilbert_as_injective(hd)
-    restricted, sub = banach.restrict_probability(adapter, system, tol)
+    restricted = banach.restrict_probability(adapter, system, tol)
+    sub = banach.verify_dilation(restricted, system, tol)
     worst = max((r.max_residual for r in sub), default=0.0)
     records.append(check("restriction is a probability dilation system",
                          "restriction(probability)", worst, tol.eps_residual,
@@ -152,7 +152,7 @@ def _framing_stage(mat: Materialized, tol: Tolerance,
                    cap: int) -> List[CheckRecord]:
     if mat.framing is None:
         raise SchemaError("framing", "dilate-framing needs a framing payload")
-    db = build_dilated_basis(mat.framing, tol, cap)
+    db = build_dilated_basis(mat.framing, cap)
     return mat.framing_checks + verify_basis_dilation(db, mat.framing, tol)
 
 
@@ -201,7 +201,7 @@ def run_pipeline(sc: Scenario, command: str, *, eps: Optional[float] = None,
         raise
     except DilationError as exc:
         name, code = exc.failed_check
-        checks.append(failure(name, code, notes=str(exc)))
+        checks.append(failure(name, code, exc.residual, notes=str(exc)))
 
     report.checks = checks
     report.elapsed_seconds = time.perf_counter() - t0

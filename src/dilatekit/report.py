@@ -51,9 +51,12 @@ def flag(name: str, paper_item: str, ok: bool, notes: str = "") -> CheckRecord:
                        threshold=0.0, passed=bool(ok), notes=notes)
 
 
-def failure(name: str, paper_item: str, notes: str) -> CheckRecord:
-    return CheckRecord(name=name, paper_item=paper_item, max_residual=math.inf,
-                       threshold=0.0, passed=False, notes=notes)
+def failure(name: str, paper_item: str, residual: float,
+            notes: str) -> CheckRecord:
+    """Record a check whose object could not be built; it always fails."""
+    return CheckRecord(name=name, paper_item=paper_item,
+                       max_residual=float(residual), threshold=0.0,
+                       passed=False, notes=notes)
 
 
 @dataclass

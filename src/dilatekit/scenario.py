@@ -168,6 +168,24 @@ def _integer(value, fieldname: str) -> int:
     raise SchemaError(fieldname, f"must be an integer, got {value!r}")
 
 
+def _integer_table(value, fieldname: str) -> np.ndarray:
+    """A JSON array of integers, each entry held to :func:`_integer`."""
+    try:
+        table = np.asarray(value, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(fieldname, "must be an integer matrix")
+    for entry in np.asarray(value, dtype=object).ravel():
+        _integer(entry, fieldname)
+    return table
+
+
+def _real(value, fieldname: str) -> float:
+    """A JSON number; booleans and other types are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(fieldname, f"must be a number, got {value!r}")
+    return float(value)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise SchemaError("<root>", "scenario must be a JSON object")
@@ -181,8 +199,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise SchemaError("tolerance", "must be an object")
     try:
         tolerance = Tolerance(
-            eps_residual=float(tol_raw.get("eps_residual", 1e-9)),
-            eps_rank=float(tol_raw.get("eps_rank", 1e-10)),
+            eps_residual=_real(tol_raw.get("eps_residual", 1e-9),
+                               "tolerance.eps_residual"),
+            eps_rank=_real(tol_raw.get("eps_rank", 1e-10), "tolerance.eps_rank"),
             sample_count=_integer(tol_raw.get("sample_count", 256),
                                   "tolerance.sample_count"),
             seed=_integer(tol_raw.get("seed", 0), "tolerance.seed"),
@@ -191,11 +210,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise SchemaError("tolerance", str(exc))
 
     group_raw = _require(data, "group")
-    table_raw = _require(group_raw, "table", "group")
-    try:
-        table = np.asarray(table_raw, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise SchemaError("group.table", "must be an integer matrix")
+    table = _integer_table(_require(group_raw, "table", "group"), "group.table")
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] == 0:
         raise ShapeError("group.table", f"must be square, got {table.shape}")
     n = table.shape[0]
@@ -248,10 +263,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     m = ovm_atoms.shape[0] if ovm_atoms is not None else n
     action = None
     if "action" in data:
-        try:
-            action = np.asarray(data["action"], dtype=np.int64)
-        except (TypeError, ValueError):
-            raise SchemaError("action", "must be an integer table")
+        action = _integer_table(data["action"], "action")
         if action.shape != (n, m):
             raise ShapeError("action", f"expected shape ({n}, {m}), "
                                        f"got {action.shape}")

@@ -156,7 +156,7 @@ def test_criterion_4_hilbert_dilation_suite():
     hd = build_hilbert_dilation(worked, TOL)
     assert hd.K_dim == 2
     for w in range(2):
-        value = (hd.V.conj().T @ hd.pi_atom(w) @ hd.V)[0, 0]
+        value = (hd.V.conj().T @ hd.pi_atoms[w] @ hd.V)[0, 0]
         assert value == pytest.approx(0.5, abs=1e-12)
     assert np.allclose(np.abs(hd.V), np.sqrt(0.5))
     announce(4, "projection-valued dilation on 50 positive systems", started)
@@ -166,8 +166,8 @@ def test_criterion_5_induced_norm_and_minimality():
     started = time.time()
     for i, system in enumerate(_fifty_positive_systems()):
         hd = build_hilbert_dilation(system, TOL)
-        restricted, _ = restrict_probability(hilbert_as_injective(hd), system,
-                                             TOL)
+        restricted = restrict_probability(hilbert_as_injective(hd), system,
+                                          TOL)
         induced = induced_norm_from_injective(restricted, system, TOL)
         for r in induced.checks:
             assert r.max_residual <= EPS, (i, r.paper_item, r.max_residual)
@@ -185,7 +185,7 @@ def test_criterion_6_basis_dilation_suite():
         assert fs.theta.group.order * fs.window_count <= 8
         for r in verify_framing(fs, TOL):
             assert r.passed, (i, r.name)
-        db = build_dilated_basis(fs, TOL)
+        db = build_dilated_basis(fs)
         records = {r.paper_item: r
                    for r in verify_basis_dilation(db, fs, TOL, samples=100)}
         for code in ("basis(a)", "basis(b)", "basis(d1)", "basis(d2)",

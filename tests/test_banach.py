@@ -247,7 +247,8 @@ class TestRestriction:
     def test_probability_input_is_fixed_point(self):
         system = general_system(0)
         ds = build_minimal_dilation(system, TOL)
-        restricted, records = restrict_probability(ds, system, TOL)
+        restricted = restrict_probability(ds, system, TOL)
+        records = verify_dilation(restricted, system, TOL)
         assert restricted.dim == ds.dim
         assert all(r.passed for r in records)
 
@@ -264,7 +265,8 @@ class TestRestriction:
             rho_atoms=np.stack([pad @ x @ pad.conj().T for x in ds.rho_atoms]),
             Q=ds.Q @ pad.conj().T, T=pad @ ds.T,
             norm=lambda c: float(np.linalg.norm(c)))
-        restricted, records = restrict_probability(padded, system, TOL)
+        restricted = restrict_probability(padded, system, TOL)
+        records = verify_dilation(restricted, system, TOL)
         assert restricted.dim == r
         assert all(rec.passed for rec in records)
 
@@ -301,7 +303,8 @@ class TestInducedNorm:
         system = positive_system(1)
         hd = build_hilbert_dilation(system, TOL)
         adapter = hilbert_as_injective(hd)
-        restricted, records = restrict_probability(adapter, system, TOL)
+        restricted = restrict_probability(adapter, system, TOL)
+        records = verify_dilation(restricted, system, TOL)
         assert all(r.passed for r in records)
         induced = induced_norm_from_injective(restricted, system, TOL)
         assert all(r.passed for r in induced.checks)
@@ -361,8 +364,8 @@ class TestMinimalityBound:
         system = system_from_scenario(
             load_scenario(GOLDEN / "z2_bessel.json"))
         hd = build_hilbert_dilation(system, TOL)
-        restricted, _ = restrict_probability(hilbert_as_injective(hd), system,
-                                             TOL)
+        restricted = restrict_probability(hilbert_as_injective(hd), system,
+                                          TOL)
         induced = induced_norm_from_injective(restricted, system, TOL)
         _, _, [record] = minimality_bound(induced, TOL, samples=256)
         assert record.passed

@@ -44,7 +44,7 @@ class TestVerifyFraming:
 
 class TestBuildDilatedBasis:
     def test_trivial_z_norm_formula(self):
-        db = build_dilated_basis(z2_trivial_framing(), TOL)
+        db = build_dilated_basis(z2_trivial_framing())
         assert db.z_dim == 2
         for c_e, c_a in [(1.0, 0.5), (1.0, -1.0), (0.3j, 0.4)]:
             expected = max(abs(c_e), abs(c_a), abs(c_e + c_a))
@@ -56,7 +56,7 @@ class TestBuildDilatedBasis:
         assert np.allclose(db.lambdas[1], [[0, 1], [1, 0]])
 
     def test_swap_z_norm_is_euclidean(self, rng):
-        db = build_dilated_basis(z2_swap_framing(), TOL)
+        db = build_dilated_basis(z2_swap_framing())
         for _ in range(20):
             c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             assert db.z_norm(c) == pytest.approx(float(np.linalg.norm(c)),
@@ -64,27 +64,27 @@ class TestBuildDilatedBasis:
 
     def test_single_element_group_recovers_x(self):
         fs = standard_basis_framing(1)
-        db = build_dilated_basis(fs, TOL)
+        db = build_dilated_basis(fs)
         assert db.z_dim == 1
         assert max_abs(db.S @ db.T - np.eye(1)) <= 1e-12
 
     def test_cap_enforced(self):
         fs = cyclic_shift_framing(5, 2, NormTag.l2(), seed=0)
         with pytest.raises(EnumerationCapExceeded):
-            build_dilated_basis(fs, TOL, cap=8)
+            build_dilated_basis(fs, cap=8)
 
 
 class TestVerifyBasisDilation:
     def test_worked_examples_pass(self):
         for fs in (z2_trivial_framing(), z2_swap_framing()):
-            db = build_dilated_basis(fs, TOL)
+            db = build_dilated_basis(fs)
             records = verify_basis_dilation(db, fs, TOL, samples=100)
             assert all(r.passed for r in records), \
                 [(r.name, r.max_residual) for r in records if not r.passed]
 
     def test_swap_T_is_isometry_onto(self, rng):
         fs = z2_swap_framing()
-        db = build_dilated_basis(fs, TOL)
+        db = build_dilated_basis(fs)
         for _ in range(10):
             x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             assert db.z_norm(db.T @ x) == pytest.approx(float(np.linalg.norm(x)),
@@ -92,7 +92,7 @@ class TestVerifyBasisDilation:
 
     def test_corrupted_lambda_multiplier_fails_product_rule(self):
         fs = z2_trivial_framing()
-        db = build_dilated_basis(fs, TOL)
+        db = build_dilated_basis(fs)
         db.lambdas[1][db.index(0, 0), db.index(1, 0)] *= -1.0
         records = verify_basis_dilation(db, fs, TOL, samples=16)
         product = [r for r in records if r.paper_item == "basis(b)"][0]
@@ -102,7 +102,7 @@ class TestVerifyBasisDilation:
     def test_shrunk_T_fails_bounded_below(self):
         # ||x||_X <= ||Tx||_Z holds whenever S T = I, so halving T must fail
         for fs in (z2_trivial_framing(), z2_swap_framing()):
-            db = build_dilated_basis(fs, TOL)
+            db = build_dilated_basis(fs)
             db.T = 0.5 * db.T
             records = verify_basis_dilation(db, fs, TOL, samples=16)
             bounded = [r for r in records if r.paper_item == "basis(i)"][0]
@@ -110,7 +110,7 @@ class TestVerifyBasisDilation:
 
     def test_suppression_monotone_under_submask(self, rng):
         fs = cyclic_shift_framing(3, 1, NormTag.l1(), seed=9)
-        db = build_dilated_basis(fs, TOL)
+        db = build_dilated_basis(fs)
         for _ in range(10):
             c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             dp = db.suppressed_norms(c)
@@ -170,7 +170,7 @@ class TestInducedMeasureLoop:
     def test_lambda_norm_bounded_by_theta_norm(self, rng):
         # both are isometries, so the sampled ratio stays at 1
         fs = cyclic_shift_framing(4, 1, NormTag.l1(), seed=2)
-        db = build_dilated_basis(fs, TOL)
+        db = build_dilated_basis(fs)
         for h in fs.theta.group.elements:
             for _ in range(25):
                 c = rng.standard_normal(4) + 1j * rng.standard_normal(4)

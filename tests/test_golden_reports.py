@@ -7,18 +7,24 @@ Any change to a check code, verdict, residual or note shows up here as a
 diff of that file. Regenerate it with
 ``PYTHONPATH=src python tests/test_golden_reports.py``
 and review the diff before committing it.
+
+The README check-code table must list every code those reports carry and
+every code a package error records when it ends a stage.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from dilatekit import errors
 from dilatekit.pipeline import COMMANDS, INPUT_ERRORS, run_pipeline
 from dilatekit.scenario import load_scenario
 
 GOLDEN = Path(__file__).resolve().parents[1] / "scenarios"
 FIXTURE = Path(__file__).resolve().parent / "golden_reports.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 CASES = [(path.name, command) for path in sorted(GOLDEN.glob("*.json"))
          for command in COMMANDS]
 
@@ -48,6 +54,35 @@ def test_report_matches_fixture(scenario, command):
     actual = report_dict(scenario, command)
     assert (json.dumps(actual, sort_keys=True)
             == json.dumps(expected, sort_keys=True))
+
+
+def _readme_codes() -> list:
+    """(first, last) per code of the README check-code table: last is ''
+    for a single code, and first ends in '*' for a family."""
+    table = README.read_text().split("Check codes:\n\n")[1].split("\n\n")[0]
+    rows = table.splitlines()[2:]
+    return [code for row in rows
+            for code in re.findall(r"`([^`]+)`(?:\.\.`([^`]+)`)?",
+                                   row.split("|")[1])]
+
+
+def _listed(code: str, table: list) -> bool:
+    # a range's ends share their family prefix, so every code between them
+    # in string order has it too
+    return any(code.startswith(first[:-1]) if first.endswith("*")
+               else first <= code <= (last or first) for first, last in table)
+
+
+def test_readme_lists_every_check_code():
+    table = _readme_codes()
+    raised = {cls.failed_check[1] for cls in vars(errors).values()
+              if isinstance(cls, type) and issubclass(cls, errors.DilationError)}
+    reported = {check["paper_item"]
+                for report in json.loads(FIXTURE.read_text()).values()
+                for check in report.get("checks", [])}
+    assert {"dilation.closure", "pipeline.error", "basis(d1)"} <= raised | reported
+    assert sorted(c for c in raised | reported if not _listed(c, table)) == []
+    assert not _listed("dilation.identities", table)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ class TestWorkedExamples:
         assert hd.K_dim == 2
         assert np.allclose(np.abs(hd.V), np.sqrt(0.5) * np.ones((2, 1)))
         for w in range(2):
-            val = (hd.V.conj().T @ hd.pi_atom(w) @ hd.V)[0, 0]
+            val = (hd.V.conj().T @ hd.pi_atoms[w] @ hd.V)[0, 0]
             assert val == pytest.approx(0.5, abs=1e-12)
         records = verify_hilbert_dilation(hd, system, TOL)
         assert all(r.passed for r in records)
@@ -123,11 +123,11 @@ class TestProperties:
         m = system.ovm.space.atoms
         total = np.zeros((hd.K_dim, hd.K_dim), dtype=complex)
         for w in range(m):
-            p = hd.pi_atom(w)
+            p = hd.pi_atoms[w]
             assert max_abs(p @ p - p) == 0.0
             assert max_abs(p - p.conj().T) == 0.0
             for w2 in range(w + 1, m):
-                assert max_abs(p @ hd.pi_atom(w2)) == 0.0
+                assert max_abs(p @ hd.pi_atoms[w2]) == 0.0
             total += p
         assert max_abs(total - np.eye(hd.K_dim)) == 0.0
 

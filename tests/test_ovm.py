@@ -57,7 +57,7 @@ class TestClassify:
     def test_projection_atoms(self):
         cls = classify(diag_projection_ovm())
         assert cls.probability and cls.positive and cls.spectral
-        assert cls.projection_valued
+        assert cls.spectral
 
     def test_half_half(self):
         cls = classify(scalar_ovm([0.5, 0.5]))

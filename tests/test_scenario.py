@@ -154,6 +154,27 @@ class TestSchemaErrors:
             scenario_from_dict(data)
         assert exc.value.field == ".".join(path)
 
+    @pytest.mark.parametrize("path,value", [
+        (("group", "table"), [[0, 1.9], [1, 0]]),
+        (("group", "table"), [[0, 1], [True, 0]]),
+        (("action",), [[0, 1.0], [1, 0.2]]),
+        (("tolerance", "eps_residual"), True),
+        (("tolerance", "eps_rank"), True),
+    ], ids=lambda case: ".".join(case) if isinstance(case, tuple) else repr(case))
+    def test_loose_table_or_tolerance_rejected(self, path, value, tmp_path):
+        # each would load as the Z_2 table, the swap action or eps = 1.0
+        data = self._base()
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.field == ".".join(path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert CliRunner().invoke(cli_main, ["validate", str(bad)]).exit_code == 2
+
     def test_integral_float_accepted(self):
         data = self._base()
         data["tolerance"]["sample_count"] = 3.0

@@ -18,20 +18,18 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import FiniteGroup, GroupAction, MeasurableSpace, Multiplier
+from .algebra import FiniteGroup, MeasurableSpace, Multiplier
 from .errors import (ClosureViolation, EnumerationCapExceeded, InvalidInput,
                      NotIdempotent, NotInjective, SemigroupNotSupported,
                      ShapeMismatch)
 from .imprimitivity import ImprimitivitySystem
-from .linalg import (EXHAUSTIVE_LIMIT, ISOMETRY_RTOL, NormedSpace, Tolerance,
-                     block_indicators, invariance_defect, max_abs,
-                     max_subset_norms, numeric_rank, orthonormal_range,
-                     subset_sums)
+from .linalg import (ENUMERATION_CAP, EXHAUSTIVE_LIMIT, ISOMETRY_RTOL,
+                     NormedSpace, Tolerance, block_indicators,
+                     invariance_defect, max_abs, max_subset_norms,
+                     numeric_rank, orthonormal_range, set_bound, subset_sums)
 from .linalg import row_norms  # noqa: F401  (perfbench traces this binding)
 from .ovm import Ovm
 from .report import CheckRecord, check
-
-ALPHA_CAP_DEFAULT = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +65,7 @@ def make_phi_x_E(ovm: Ovm, x, mask: int) -> VectorMeasure:
     return VectorMeasure(space=ovm.space, target=ovm.target, atom_values=values)
 
 
-def alpha_norm(mu: VectorMeasure, cap: int = ALPHA_CAP_DEFAULT) -> float:
+def alpha_norm(mu: VectorMeasure, cap: int = ENUMERATION_CAP) -> float:
     """Minimal dilation norm: max over all sets E of ||mu(E)||_X.
 
     Subset sums are accumulated in ascending atom order, so the result is
@@ -92,7 +90,7 @@ class DilationSpaceAlpha:
 
     @classmethod
     def build(cls, ovm: Ovm, tol: Optional[Tolerance] = None,
-              cap: int = ALPHA_CAP_DEFAULT) -> "DilationSpaceAlpha":
+              cap: int = ENUMERATION_CAP) -> "DilationSpaceAlpha":
         tol = tol or Tolerance()
         if ovm.space.atoms > cap:
             raise EnumerationCapExceeded(ovm.space.atoms, cap)
@@ -144,8 +142,8 @@ class DilationSystem:
 
     ``rho_atoms`` holds rho({w}); values on larger sets are sums of atoms.
     ``norm`` is the carrier norm oracle (the alpha norm for the minimal
-    system, a Euclidean or restricted norm for adapters). ``checks`` holds
-    the records of the verification run by the builder, if any.
+    system, a Euclidean or restricted norm for adapters); ``carrier`` is
+    the alpha coordinatisation, kept only by the minimal system.
     """
 
     group: FiniteGroup
@@ -176,7 +174,7 @@ class DilationSystem:
 
 def build_minimal_dilation(system: ImprimitivitySystem,
                            tol: Optional[Tolerance] = None,
-                           cap: int = ALPHA_CAP_DEFAULT) -> DilationSystem:
+                           cap: int = ENUMERATION_CAP) -> DilationSystem:
     """Construct the minimal dilation system of an imprimitivity system.
 
     On atom-value coordinates the operators are: rho(E) zeroes the atoms
@@ -228,17 +226,6 @@ def build_minimal_dilation(system: ImprimitivitySystem,
                           norm_batch=carrier.alpha_batch, carrier=carrier)
 
 
-def _set_images(action: GroupAction, s: int) -> np.ndarray:
-    """img[E] = bitmask of s.E, for every E, via lowest-bit recursion."""
-    m = action.space.atoms
-    img = np.zeros(1 << m, dtype=np.int64)
-    bit_img = np.array([1 << action.point(s, w) for w in range(m)], dtype=np.int64)
-    for mask in range(1, 1 << m):
-        low = (mask & -mask).bit_length() - 1
-        img[mask] = img[mask ^ (1 << low)] | bit_img[low]
-    return img
-
-
 def verify_dilation(ds: DilationSystem, system: ImprimitivitySystem,
                     tol: Optional[Tolerance] = None,
                     samples: Optional[int] = None) -> List[CheckRecord]:
@@ -248,23 +235,17 @@ def verify_dilation(ds: DilationSystem, system: ImprimitivitySystem,
     (c) V_s T = T W_s, (d) rho(A n B) = rho(A) rho(B), (e) rho(Omega) = I,
     (f) V_s V_t = omega(s,t) V_st, (g) V_s rho(E) = rho(sE) V_s, and
     (h) every V_s is an isometry of the carrier norm on sampled elements.
-    Set-indexed laws are exhaustive up to 12 atoms and sampled beyond;
-    they are additive in E, so atoms already determine them.
+    The defects of (a) and (g) on a set are sums of atom defects, so
+    :func:`set_bound` certifies them on every set; (d) scans all pairs of
+    sets up to ``EXHAUSTIVE_LIMIT`` atoms and samples pairs beyond.
     """
     tol = tol or Tolerance()
     eps = tol.eps_residual
     rep, ovm, action = system.rep, system.ovm, system.action
     m = ovm.space.atoms
-    exhaustive = m <= EXHAUSTIVE_LIMIT
     records = []
 
-    # (a) factorization: per-atom defects, then max over subset sums
-    defects = np.stack([ds.Q @ ds.rho_atoms[w] @ ds.T - ovm.atoms[w]
-                        for w in range(m)])
-    if exhaustive:
-        resid_a = max_abs(subset_sums(defects))
-    else:
-        resid_a = max_abs(defects) * m  # additive upper bound
+    resid_a = set_bound(ds.Q @ ds.rho_atoms @ ds.T - ovm.atoms)
     records.append(check("factorization phi(E) = Q rho(E) T", "dilation(a)",
                          resid_a, eps))
 
@@ -277,7 +258,7 @@ def verify_dilation(ds: DilationSystem, system: ImprimitivitySystem,
     records.append(check("intertwining V_s T = T W_s", "dilation(c)", resid_c, eps))
 
     # (d)/(e): rho is a probability spectral measure on the carrier
-    if exhaustive:
+    if m <= EXHAUSTIVE_LIMIT:
         rho_all = subset_sums(ds.rho_atoms)
         masks = np.arange(1 << m)
         resid_d = 0.0
@@ -306,19 +287,10 @@ def verify_dilation(ds: DilationSystem, system: ImprimitivitySystem,
                 - omega[s, t] * ds.v_ops[rep.group.mul(s, t)]))
     records.append(check("V_s V_t = omega(s,t) V_st", "dilation(f)", resid_f, eps))
 
-    resid_g = 0.0
-    if exhaustive:
-        rho_all = subset_sums(ds.rho_atoms)
-        for s in rep.group.elements:
-            img = _set_images(action, s)
-            resid_g = max(resid_g, max_abs(
-                np.matmul(ds.v_ops[s], rho_all) - np.matmul(rho_all[img], ds.v_ops[s])))
-    else:
-        for s in rep.group.elements:
-            for w in range(m):
-                w2 = action.point(s, w)
-                resid_g = max(resid_g, max_abs(
-                    ds.v_ops[s] @ ds.rho_atoms[w] - ds.rho_atoms[w2] @ ds.v_ops[s]))
+    # atom w's defect is V_s rho({w}) - rho({s.w}) V_s
+    resid_g = max(set_bound(ds.v_ops[s] @ ds.rho_atoms
+                            - ds.rho_atoms[action.point_map[s]] @ ds.v_ops[s])
+                  for s in rep.group.elements)
     records.append(check("covariance V_s rho(E) = rho(sE) V_s", "dilation(g)",
                          resid_g, eps))
 
@@ -339,7 +311,7 @@ def verify_dilation(ds: DilationSystem, system: ImprimitivitySystem,
     return records
 
 
-def restrict_probability(ds: DilationSystem, system: ImprimitivitySystem,
+def restrict_probability(ds: DilationSystem,
                          tol: Optional[Tolerance] = None) -> DilationSystem:
     """Restrict a dilation system to the range of rho(Omega).
 
@@ -454,8 +426,7 @@ def induced_norm_from_injective(ds: DilationSystem, system: ImprimitivitySystem,
     resid_v = max(max_abs(r_map @ minimal.v_ops[s] - ds.v_ops[s] @ r_map)
                   for s in system.rep.group.elements)
     records.append(check("R V_d,s = V_s R", "induced(1)", resid_v, eps))
-    resid_rho = max(max_abs(r_map @ minimal.rho_atoms[w] - ds.rho_atoms[w] @ r_map)
-                    for w in range(m))
+    resid_rho = set_bound(r_map @ minimal.rho_atoms - ds.rho_atoms @ r_map)
     records.append(check("R rho_d(E) = rho(E) R", "induced(2)", resid_rho, eps,
                          notes="checked on atoms; extends additively"))
     records.append(check("Q_d = Q R", "induced(3)", max_abs(minimal.Q - ds.Q @ r_map),

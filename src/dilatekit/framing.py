@@ -20,13 +20,12 @@ from .algebra import cyclic_group, trivial_multiplier
 from .errors import (EnumerationCapExceeded, ShapeMismatch,
                      SingularFrameOperator, ZeroWindow)
 from .imprimitivity import ProjectiveRep, check_rep
-from .linalg import (EXHAUSTIVE_LIMIT, ISOMETRY_RTOL, NormedSpace, NormTag,
-                     Tolerance, cyclic_shifts, max_abs, max_subset_norms,
-                     require_finite, row_norms, subset_sums, vec_norm)
+from .linalg import (ENUMERATION_CAP, EXHAUSTIVE_LIMIT, ISOMETRY_RTOL,
+                     NormedSpace, NormTag, Tolerance, cyclic_shifts, max_abs,
+                     max_subset_norms, require_finite, row_norms, subset_sums,
+                     vec_norm)
 from .ovm import Ovm, framing_ovm, evaluate
 from .report import CheckRecord, check, flag
-
-Z_CAP_DEFAULT = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +89,6 @@ class DilatedBasis:
     T: np.ndarray        # (Z, d) analysis map, row (g,j) is theta*_{g^-1} x*_j
     S: np.ndarray        # (d, Z) synthesis map
     lambdas: np.ndarray  # (n, Z, Z)
-    cap: int
 
     def index(self, g: int, j: int) -> int:
         return g * self.fs.window_count + j
@@ -120,7 +118,7 @@ class DilatedBasis:
 
 
 def build_dilated_basis(fs: FramingSystem,
-                        cap: int = Z_CAP_DEFAULT) -> DilatedBasis:
+                        cap: int = ENUMERATION_CAP) -> DilatedBasis:
     """Construct Z, T, S and lambda in e_{g,j} coordinates.
 
     T(x) collects the analysis coefficients <x, theta*_{g^-1} x*_j>,
@@ -152,7 +150,7 @@ def build_dilated_basis(fs: FramingSystem,
                 lambdas[h, hg * big_j + j, g * big_j + j] = omega[h, g]
 
     return DilatedBasis(fs=fs, z_dim=z_dim, synth=synth, T=analysis,
-                        S=synth.T.copy(), lambdas=lambdas, cap=cap)
+                        S=synth.T.copy(), lambdas=lambdas)
 
 
 def verify_basis_dilation(db: DilatedBasis, fs: FramingSystem,

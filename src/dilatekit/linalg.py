@@ -23,9 +23,12 @@ from .errors import InvalidInput
 
 # Threshold of the sampled isometry checks, on the relative change of a norm.
 ISOMETRY_RTOL = 1e-8
-# Set-indexed verification scans are exhaustive up to this many atoms (or
-# basis indices) and fall back to sampling or additive bounds above it.
+# Laws that add up over atoms are certified on every set by set_bound. The
+# rest still scan: dilation(d) over all pairs of sets and basis(h) over all
+# index subsets up to this many atoms (or basis indices), sampling above it.
 EXHAUSTIVE_LIMIT = 12
+# Default cap on the atoms (or basis indices) of an exact 2^m norm scan.
+ENUMERATION_CAP = 16
 # Working memory of one chunk of subset sums in max_subset_norms.
 SUBSET_CHUNK_BYTES = 8 << 20
 
@@ -325,6 +328,13 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
         half = 1 << w
         np.add(out[:half], values[w], out=out[half:2 * half])
     return out
+
+
+def set_bound(defects: np.ndarray) -> float:
+    """Largest entry of sum_w |defects[w]|: it bounds every entry of every
+    subset sum over the leading axis, so it certifies on every set a law
+    whose defect on a set is the sum of its atom defects."""
+    return max_abs(np.abs(defects).sum(axis=0))
 
 
 def max_subset_norms(values: np.ndarray, tag: NormTag) -> np.ndarray:

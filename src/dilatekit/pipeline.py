@@ -24,7 +24,7 @@ from .errors import (DilationError, EnumerationCapExceeded, InvalidInput,
 from .framing import (FramingSystem, build_dilated_basis, verify_basis_dilation,
                       verify_framing)
 from .imprimitivity import ImprimitivitySystem, check_rep, check_system
-from .linalg import NormedSpace, Tolerance, numeric_rank
+from .linalg import ENUMERATION_CAP, NormedSpace, Tolerance, numeric_rank
 from .ovm import Ovm, bessel_bound
 from .report import CheckRecord, Report, check, failure, flag
 from .scenario import Scenario, scenario_digest
@@ -133,7 +133,7 @@ def _prop_chain_stage(mat: Materialized, hd: hilbert.HilbertDilation,
     system = mat.system
     records = []
     adapter = hilbert.hilbert_as_injective(hd)
-    restricted = banach.restrict_probability(adapter, system, tol)
+    restricted = banach.restrict_probability(adapter, tol)
     sub = banach.verify_dilation(restricted, system, tol)
     worst = max((r.max_residual for r in sub), default=0.0)
     records.append(check("restriction is a probability dilation system",
@@ -171,7 +171,7 @@ def run_pipeline(sc: Scenario, command: str, *, eps: Optional[float] = None,
         tol = dataclasses.replace(tol, eps_residual=eps)
     if samples is not None:
         tol = dataclasses.replace(tol, sample_count=samples)
-    cap = cap if cap is not None else banach.ALPHA_CAP_DEFAULT
+    cap = cap if cap is not None else ENUMERATION_CAP
 
     report = Report(digest=scenario_digest(sc), command=command)
     checks: List[CheckRecord] = []
@@ -201,7 +201,8 @@ def run_pipeline(sc: Scenario, command: str, *, eps: Optional[float] = None,
         raise
     except DilationError as exc:
         name, code = exc.failed_check
-        checks.append(failure(name, code, exc.residual, notes=str(exc)))
+        checks.append(failure(name, code, exc.residual, tol.eps_residual,
+                              notes=str(exc)))
 
     report.checks = checks
     report.elapsed_seconds = time.perf_counter() - t0

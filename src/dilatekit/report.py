@@ -51,11 +51,13 @@ def flag(name: str, paper_item: str, ok: bool, notes: str = "") -> CheckRecord:
                        threshold=0.0, passed=bool(ok), notes=notes)
 
 
-def failure(name: str, paper_item: str, residual: float,
+def failure(name: str, paper_item: str, residual: float, threshold: float,
             notes: str) -> CheckRecord:
-    """Record a check whose object could not be built; it always fails."""
-    return CheckRecord(name=name, paper_item=paper_item,
-                       max_residual=float(residual), threshold=0.0,
+    """Record a check whose object could not be built; it always fails. An
+    unmeasured (infinite) residual gets threshold 0, as in :func:`flag`."""
+    residual = float(residual)
+    return CheckRecord(name=name, paper_item=paper_item, max_residual=residual,
+                       threshold=threshold if math.isfinite(residual) else 0.0,
                        passed=False, notes=notes)
 
 

@@ -166,8 +166,7 @@ def test_criterion_5_induced_norm_and_minimality():
     started = time.time()
     for i, system in enumerate(_fifty_positive_systems()):
         hd = build_hilbert_dilation(system, TOL)
-        restricted = restrict_probability(hilbert_as_injective(hd), system,
-                                          TOL)
+        restricted = restrict_probability(hilbert_as_injective(hd), TOL)
         induced = induced_norm_from_injective(restricted, system, TOL)
         for r in induced.checks:
             assert r.max_residual <= EPS, (i, r.paper_item, r.max_residual)

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dilatekit.algebra import (MeasurableSpace, check_action, cyclic_group,
-                               left_translation_action, trivial_multiplier)
+from dilatekit.algebra import (MeasurableSpace, act_on_set, check_action,
+                               cyclic_group, left_translation_action,
+                               trivial_multiplier)
 from dilatekit.banach import (DilationSystem, VectorMeasure, alpha_norm,
                               build_minimal_dilation, check_q_range_invariance,
                               induced_norm_from_injective, make_phi_x_E,
@@ -14,13 +15,14 @@ from dilatekit.banach import (DilationSystem, VectorMeasure, alpha_norm,
 from dilatekit.errors import (EnumerationCapExceeded, InvalidInput,
                               NotIdempotent, NotInjective,
                               SemigroupNotSupported)
-from dilatekit.hilbert import build_hilbert_dilation, hilbert_as_injective
+from dilatekit.hilbert import (build_hilbert_dilation, hilbert_as_injective,
+                               verify_hilbert_dilation)
 from dilatekit.imprimitivity import ImprimitivitySystem, check_rep, check_system
 from dilatekit.linalg import NormTag, NormedSpace, Tolerance, max_abs
 from dilatekit.ovm import Ovm, bessel_ovm
 from dilatekit.scenario import load_scenario
 
-from conftest import (general_system, positive_system, shift_rep,
+from conftest import (general_system, positive_system, rng_for, shift_rep,
                       system_from_scenario)
 
 TOL = Tolerance()
@@ -247,7 +249,7 @@ class TestRestriction:
     def test_probability_input_is_fixed_point(self):
         system = general_system(0)
         ds = build_minimal_dilation(system, TOL)
-        restricted = restrict_probability(ds, system, TOL)
+        restricted = restrict_probability(ds, TOL)
         records = verify_dilation(restricted, system, TOL)
         assert restricted.dim == ds.dim
         assert all(r.passed for r in records)
@@ -265,7 +267,7 @@ class TestRestriction:
             rho_atoms=np.stack([pad @ x @ pad.conj().T for x in ds.rho_atoms]),
             Q=ds.Q @ pad.conj().T, T=pad @ ds.T,
             norm=lambda c: float(np.linalg.norm(c)))
-        restricted = restrict_probability(padded, system, TOL)
+        restricted = restrict_probability(padded, TOL)
         records = verify_dilation(restricted, system, TOL)
         assert restricted.dim == r
         assert all(rec.passed for rec in records)
@@ -278,7 +280,7 @@ class TestRestriction:
             target=ds.target, dim=ds.dim, v_ops=ds.v_ops,
             rho_atoms=1.5 * ds.rho_atoms, Q=ds.Q, T=ds.T, norm=ds.norm)
         with pytest.raises(NotIdempotent):
-            restrict_probability(bad, system, TOL)
+            restrict_probability(bad, TOL)
 
     def test_q_range_invariance(self):
         for seed in (0, 3, 5):
@@ -303,7 +305,7 @@ class TestInducedNorm:
         system = positive_system(1)
         hd = build_hilbert_dilation(system, TOL)
         adapter = hilbert_as_injective(hd)
-        restricted = restrict_probability(adapter, system, TOL)
+        restricted = restrict_probability(adapter, TOL)
         records = verify_dilation(restricted, system, TOL)
         assert all(r.passed for r in records)
         induced = induced_norm_from_injective(restricted, system, TOL)
@@ -364,8 +366,7 @@ class TestMinimalityBound:
         system = system_from_scenario(
             load_scenario(GOLDEN / "z2_bessel.json"))
         hd = build_hilbert_dilation(system, TOL)
-        restricted = restrict_probability(hilbert_as_injective(hd), system,
-                                          TOL)
+        restricted = restrict_probability(hilbert_as_injective(hd), TOL)
         induced = induced_norm_from_injective(restricted, system, TOL)
         _, _, [record] = minimality_bound(induced, TOL, samples=256)
         assert record.passed
@@ -382,3 +383,51 @@ class TestMinimalityBound:
                                               minimal=minimal)
         with pytest.raises(InvalidInput):
             minimality_bound(induced, TOL, samples=8)
+
+
+class TestSetLawsCertified:
+    """dilation(a), (g), hilbert(1), (5) and induced(2) report a bound over
+    every set. The exhaustive scan over sets they replaced stays here as
+    the oracle: on dilations with noisy atoms, no set's defect exceeds it."""
+
+    @staticmethod
+    def _noisy(obj, field, rng):
+        values = getattr(obj, field)
+        noise = rng.standard_normal(values.shape) + 1j * rng.standard_normal(
+            values.shape)
+        return dataclasses.replace(obj, **{field: values + 1e-6 * noise})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bound_covers_every_set(self, seed):
+        system = positive_system(seed)
+        ovm, action, rng = system.ovm, system.action, rng_for(seed)
+        sets = range(1 << ovm.space.atoms)
+        elements = system.rep.group.elements
+        minimal = self._noisy(build_minimal_dilation(system, TOL),
+                              "rho_atoms", rng)
+        clean = build_hilbert_dilation(system, TOL)
+        hd = self._noisy(clean, "pi_atoms", rng)
+        target = restrict_probability(hilbert_as_injective(clean), TOL)
+        induced = induced_norm_from_injective(target, system, TOL,
+                                              minimal=minimal)
+        records = (verify_dilation(minimal, system, TOL)
+                   + verify_hilbert_dilation(hd, system, TOL) + induced.checks)
+        bound = {r.paper_item: r.max_residual for r in records}
+
+        v, rho, u, pi = minimal.v_ops, minimal.rho, hd.u_tilde, hd.pi
+        scans = {
+            "dilation(a)": [minimal.Q @ rho(e) @ minimal.T
+                            - ovm.space.set_sum(ovm.atoms, e) for e in sets],
+            "dilation(g)": [v[s] @ rho(e) - rho(act_on_set(action, s, e)) @ v[s]
+                            for s in elements for e in sets],
+            "hilbert(1)": [hd.V.conj().T @ pi(e) @ hd.V
+                           - ovm.space.set_sum(ovm.atoms, e) for e in sets],
+            "hilbert(5)": [u[s] @ pi(e) @ u[s].conj().T
+                           - pi(act_on_set(action, s, e))
+                           for s in elements for e in sets],
+            "induced(2)": [induced.R @ rho(e) - target.rho(e) @ induced.R
+                           for e in sets],
+        }
+        for code, defects in scans.items():
+            scan = max(max_abs(d) for d in defects)
+            assert 0 < scan <= bound[code] * (1 + 1e-9), code

@@ -9,7 +9,7 @@ from dilatekit.linalg import (NormTag, cyclic_shifts, dual_pair,
                               hermitian_eig, hermitian_inner, invariance_defect,
                               is_isometry, max_abs, max_subset_norms,
                               numeric_rank, random_unitary, row_norms,
-                              subset_sums, vec_norm)
+                              set_bound, subset_sums, vec_norm)
 
 L1, L2, LINF = NormTag.l1(), NormTag.l2(), NormTag.linf()
 ALL_TAGS = [L1, L2, LINF, NormTag.lp(3.0)]
@@ -189,6 +189,22 @@ class TestSubsetSums:
 
     def test_max_abs_empty(self):
         assert max_abs(np.zeros((0, 2))) == 0.0
+
+
+class TestSetBound:
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_covers_the_exhaustive_scan(self, m):
+        # the scan over all 2^m subset sums is the oracle the bound replaces
+        rng = np.random.default_rng(m)
+        defects = (rng.standard_normal((m, 3, 2))
+                   + 1j * rng.standard_normal((m, 3, 2)))
+        scan = max_abs(subset_sums(defects))
+        assert scan <= set_bound(defects) <= m * max_abs(defects)
+
+    def test_attained_when_entries_add_in_phase(self, rng):
+        defects = np.abs(rng.standard_normal((5, 2, 2))) * np.exp(0.3j)
+        assert set_bound(defects) == pytest.approx(
+            max_abs(subset_sums(defects)), rel=1e-14)
 
 
 def _reference_max_norms(values, tag):

@@ -1,5 +1,6 @@
 """The pipeline builds each dilation once, verifies it once per run, and
-keeps the record of every law it checked, failed or not."""
+keeps the record of every law it checked, failed or not; a corrupted
+input fails exactly the laws that read it."""
 
 import dataclasses
 import itertools
@@ -7,12 +8,15 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dilatekit import (algebra, banach, framing, hilbert, imprimitivity, linalg,
                        ovm, pipeline, scenario)
+from dilatekit.linalg import max_abs
 from dilatekit.pipeline import run_pipeline
-from dilatekit.scenario import load_scenario
+from dilatekit.report import failure
+from dilatekit.scenario import gen_example, load_scenario
 
 GOLDEN = Path(__file__).resolve().parents[1] / "scenarios"
 MODULES = (algebra, banach, framing, hilbert, imprimitivity, linalg, ovm,
@@ -143,3 +147,158 @@ def test_failure_record_keeps_the_measured_residual():
     assert record.paper_item == "dilation.closure"
     assert 1e-17 < record.max_residual < 1e-14
     assert f"residual {record.max_residual:.3e}" in record.notes
+
+
+def test_failure_record_carries_its_threshold():
+    # ClosureViolation compared 1.24e-16 against eps_residual = 1e-17
+    report = run_pipeline(load_scenario(GOLDEN / "z3_regular_bessel.json"),
+                          "dilate-banach", eps=1e-17)
+    [record] = [r for r in report.checks if not r.passed]
+    assert record.paper_item == "dilation.closure"
+    assert record.threshold == 1e-17
+    assert failure("n", "c", math.inf, 1e-9, "unmeasured").threshold == 0.0
+
+
+# -- fault rows: one corrupted input per law, and the exact codes that fail --
+
+DELTA = 1e-6
+
+
+def _wrap(monkeypatch, module, name, call):
+    """Route the pipeline's calls of module.name through
+    call(original, *args, **kwargs)."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: call(original, *args, **kwargs))
+
+
+def _noise(shape):
+    rng = np.random.default_rng(0)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _bumped(obj, field):
+    """obj with DELTA times fixed complex noise added to one field."""
+    value = getattr(obj, field)
+    return dataclasses.replace(obj, **{field: value + DELTA * _noise(value.shape)})
+
+
+def _scaled(obj, field):
+    return dataclasses.replace(obj, **{field: (1 + DELTA) * getattr(obj, field)})
+
+
+def _built(field, corrupt):
+    """Corrupt one field of what a builder returns."""
+    return lambda original, *args: corrupt(original(*args), field)
+
+
+def _induced(corrupt_target, corrupt_minimal):
+    """Corrupt what induced_norm_from_injective is handed, nothing else."""
+    def call(original, ds, system, tol, minimal):
+        return original(corrupt_target(ds), system, tol,
+                        minimal=corrupt_minimal(minimal))
+    return call
+
+
+def _keep(obj):
+    return obj
+
+
+def _kernel_push(original, ds, system, tol, minimal):
+    # T of the target gains a component on ker phi({0}): the generator
+    # images of atom 0 leave the span that R can factor. The rank test is
+    # relative (eps_rank) and induced(0) absolute (eps_residual); with the
+    # default eps_rank any push above eps_residual at this scale is caught
+    # first as induced.injective, so this call widens eps_rank to let the
+    # push through to induced(0).
+    block = minimal.carrier.blocks[0]
+    off_range = np.eye(block.shape[0]) - block @ block.conj().T
+    push = ds.rho_atoms[0] @ _noise(ds.T.shape) @ off_range
+    return original(dataclasses.replace(ds, T=ds.T + DELTA * push), system,
+                    dataclasses.replace(tol, eps_rank=1e-6), minimal=minimal)
+
+
+def _negated_multiplier(original, *args):
+    restricted = original(*args)
+    omega = -restricted.multiplier.omega
+    return dataclasses.replace(
+        restricted, multiplier=dataclasses.replace(restricted.multiplier,
+                                                   omega=omega))
+
+
+def _first_q_column(original, minimal, system, tol):
+    return original(dataclasses.replace(minimal, Q=minimal.Q[:, :1]), system,
+                    tol)
+
+
+FAULT_ROWS = {
+    # Q rho(E) T = (1 + DELTA) phi(E); (c) is linear in T and still holds
+    "dilation(a)": ("dilate-banach", banach, "build_minimal_dilation",
+                    _built("T", _scaled), {"dilation(a)"}),
+    # noise on every rho atom also breaks (a), (d) and (e), which read rho
+    "dilation(g)": ("dilate-banach", banach, "build_minimal_dilation",
+                    _built("rho_atoms", _bumped),
+                    {"dilation(a)", "dilation(d)", "dilation(e)",
+                     "dilation(g)"}),
+    # ||V|| = ||phi(Omega)||^(1/2) (hilbert(7)) reads V too
+    "hilbert(1)": ("dilate-hilbert", hilbert, "build_hilbert_dilation",
+                   _built("V", _scaled), {"hilbert(1)", "hilbert(7)"}),
+    # noise on every pi atom also breaks (1) and (6), which read pi
+    "hilbert(5)": ("dilate-hilbert", hilbert, "build_hilbert_dilation",
+                   _built("pi_atoms", _bumped),
+                   {"hilbert(1)", "hilbert(5)", "hilbert(6)"}),
+    # induced(4)'s defect, R T_d - rho(Omega) T, is minus the sum over atoms
+    # of induced(0)'s; while rho's atoms have orthogonal ranges, as in every
+    # dilation the pipeline builds, no input fails (0) without (4)
+    "induced(0)": ("all", banach, "induced_norm_from_injective",
+                   _kernel_push, {"induced(0)", "induced(4)"}),
+    "induced(1)": ("all", banach, "induced_norm_from_injective",
+                   _induced(lambda ds: _bumped(ds, "v_ops"), _keep),
+                   {"induced(1)"}),
+    "induced(2)": ("all", banach, "induced_norm_from_injective",
+                   _induced(_keep, lambda m: _bumped(m, "rho_atoms")),
+                   {"induced(2)"}),
+    "induced(3)": ("all", banach, "induced_norm_from_injective",
+                   _induced(_keep, lambda m: _bumped(m, "Q")), {"induced(3)"}),
+    "induced(4)": ("all", banach, "induced_norm_from_injective",
+                   _induced(_keep, lambda m: _bumped(m, "T")), {"induced(4)"}),
+    # only the verification of the restriction reads its multiplier
+    "restriction(probability)": ("all", banach, "restrict_probability",
+                                 _negated_multiplier,
+                                 {"restriction(probability)"}),
+    # range(Q) of a minimal dilation is the sum of the atoms' ranges, which
+    # a system that passed valid.system.covariance leaves invariant, so no
+    # valid input reaches this code; the row hands the check one column of Q
+    "restriction(Q-range)": ("all", banach, "check_q_range_invariance",
+                             _first_q_column, {"restriction(Q-range)"}),
+}
+
+
+@pytest.mark.parametrize("code", FAULT_ROWS)
+def test_fault_row_fails_exactly_its_codes(monkeypatch, code):
+    command, module, name, call, failing = FAULT_ROWS[code]
+    _wrap(monkeypatch, module, name, call)
+    report = run_pipeline(load_scenario(GOLDEN / "z2_bessel.json"), command)
+    assert code in failing
+    assert {r.paper_item for r in report.checks if not r.passed} == failing
+    assert all(math.isfinite(r.max_residual) for r in report.checks)
+
+
+def test_covariance_defect_spread_over_atoms_fails(monkeypatch):
+    # Every rho atom gains the same eps/10 covariance defect: no atom fails
+    # (g) on its own, the full set's defect is 13 times as large
+    sc = gen_example("bessel-cyclic", {"n": 13, "d": 2}, 1)
+    eps = sc.tolerance.eps_residual
+
+    def spread(original, *args):
+        ds = original(*args)
+        f = _noise((ds.dim, ds.dim))
+        atom = max(max_abs(v @ f - f @ v) for v in ds.v_ops)
+        return dataclasses.replace(
+            ds, rho_atoms=ds.rho_atoms + (0.1 * eps / atom) * f)
+
+    _wrap(monkeypatch, banach, "build_minimal_dilation", spread)
+    report = run_pipeline(sc, "dilate-banach", samples=2)
+    [record] = [r for r in report.checks if r.paper_item == "dilation(g)"]
+    assert not record.passed
+    assert record.max_residual == pytest.approx(1.3 * eps, rel=1e-6)

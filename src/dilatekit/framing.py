@@ -20,12 +20,14 @@ from .algebra import cyclic_group, trivial_multiplier
 from .errors import (EnumerationCapExceeded, ShapeMismatch,
                      SingularFrameOperator, ZeroWindow)
 from .imprimitivity import ProjectiveRep, check_rep
-from .linalg import (ENUMERATION_CAP, EXHAUSTIVE_LIMIT, ISOMETRY_RTOL,
-                     NormedSpace, NormTag, Tolerance, cyclic_shifts, max_abs,
-                     max_subset_norms, require_finite, row_norms, subset_sums,
-                     vec_norm)
+from .linalg import (ENUMERATION_CAP, ISOMETRY_RTOL, NormedSpace, NormTag,
+                     Tolerance, cyclic_shifts, max_abs, max_subset_norms,
+                     require_finite, row_norms, subset_sums, vec_norm)
 from .ovm import Ovm, framing_ovm, evaluate
 from .report import CheckRecord, check, flag
+
+# basis(h), the one check that scans sets, samples above this many indices.
+EXHAUSTIVE_LIMIT = 12
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import (BlockRankMismatch, NonUnitaryRep, NotPositive,
                      SemigroupNotSupported)
 from .imprimitivity import ImprimitivitySystem
-from .linalg import (Tolerance, block_indicators, hermitian_eig, is_isometry,
-                     max_abs, set_bound)
+from .linalg import (SET_BOUND_NOTE, Tolerance, block_indicators,
+                     hermitian_eig, is_isometry, max_abs, set_bound)
 from .linalg import subset_sums  # noqa: F401  (perfbench traces this binding)
 from .ovm import bessel_bound
 from .report import CheckRecord, check
@@ -123,7 +123,7 @@ def verify_hilbert_dilation(hd: HilbertDilation, system: ImprimitivitySystem,
 
     resid_1 = set_bound(hd.V.conj().T @ hd.pi_atoms @ hd.V - ovm.atoms)
     records.append(check("reconstruction phi(E) = V* pi(E) V", "hilbert(1)",
-                         resid_1, eps))
+                         resid_1, eps, notes=SET_BOUND_NOTE))
 
     resid_2 = max(max_abs(hd.u_tilde[g].conj().T @ hd.u_tilde[g] - np.eye(hd.K_dim))
                   for g in rep.group.elements)
@@ -150,7 +150,7 @@ def verify_hilbert_dilation(hd: HilbertDilation, system: ImprimitivitySystem,
                             - hd.pi_atoms[action.point_map[g]])
                   for g in rep.group.elements)
     records.append(check("covariance U~_g pi(E) U~_g* = pi(gE)", "hilbert(5)",
-                         resid_5, eps, notes="checked on atoms; pi is additive"))
+                         resid_5, eps, notes=SET_BOUND_NOTE))
 
     records.append(check("pi(Omega) = I on the dilated space", "hilbert(6)",
                          max_abs(hd.pi(ovm.space.full) - np.eye(hd.K_dim)), eps))

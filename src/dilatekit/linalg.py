@@ -23,14 +23,12 @@ from .errors import InvalidInput
 
 # Threshold of the sampled isometry checks, on the relative change of a norm.
 ISOMETRY_RTOL = 1e-8
-# Laws that add up over atoms are certified on every set by set_bound. The
-# rest still scan: dilation(d) over all pairs of sets and basis(h) over all
-# index subsets up to this many atoms (or basis indices), sampling above it.
-EXHAUSTIVE_LIMIT = 12
 # Default cap on the atoms (or basis indices) of an exact 2^m norm scan.
 ENUMERATION_CAP = 16
 # Working memory of one chunk of subset sums in max_subset_norms.
 SUBSET_CHUNK_BYTES = 8 << 20
+# Report note of every check whose residual is a set_bound.
+SET_BOUND_NOTE = "certified bound over every set"
 
 
 def as_vector(v) -> np.ndarray:
@@ -330,11 +328,17 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def set_bound(defects: np.ndarray) -> float:
+def set_bound(defects) -> float:
     """Largest entry of sum_w |defects[w]|: it bounds every entry of every
     subset sum over the leading axis, so it certifies on every set a law
-    whose defect on a set is the sum of its atom defects."""
-    return max_abs(np.abs(defects).sum(axis=0))
+    whose defect on a set is the sum of its atom defects. ``defects`` is
+    one stack, or an iterable of stacks consumed one at a time."""
+    if isinstance(defects, np.ndarray):
+        defects = (defects,)
+    total = 0.0
+    for stack in defects:
+        total = total + np.abs(stack).sum(axis=0)
+    return max_abs(total)
 
 
 def max_subset_norms(values: np.ndarray, tag: NormTag) -> np.ndarray:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dilatekit import banach
 from dilatekit.algebra import (MeasurableSpace, act_on_set, check_action,
                                cyclic_group, left_translation_action,
                                trivial_multiplier)
@@ -18,9 +19,10 @@ from dilatekit.errors import (EnumerationCapExceeded, InvalidInput,
 from dilatekit.hilbert import (build_hilbert_dilation, hilbert_as_injective,
                                verify_hilbert_dilation)
 from dilatekit.imprimitivity import ImprimitivitySystem, check_rep, check_system
-from dilatekit.linalg import NormTag, NormedSpace, Tolerance, max_abs
+from dilatekit.linalg import (NormTag, NormedSpace, Tolerance, max_abs,
+                              subset_sums)
 from dilatekit.ovm import Ovm, bessel_ovm
-from dilatekit.scenario import load_scenario
+from dilatekit.scenario import gen_example, load_scenario
 
 from conftest import (general_system, positive_system, rng_for, shift_rep,
                       system_from_scenario)
@@ -66,6 +68,16 @@ def alpha_oracle(mu: VectorMeasure) -> float:
             value = float(np.sum(mags ** tag.p)) ** (1.0 / tag.p)
         best = max(best, value)
     return best
+
+
+def pair_scan(rho_atoms: np.ndarray) -> float:
+    """Largest entry of rho(A) rho(B) - rho(A n B) over all pairs of sets,
+    by the exhaustive scan that dilation(d) replaced with a bound."""
+    m = rho_atoms.shape[0]
+    rho_all = subset_sums(rho_atoms)
+    masks = np.arange(1 << m)
+    return max(max_abs(rho_all[a] @ rho_all - rho_all[a & masks])
+               for a in range(1 << m))
 
 
 class TestVectorMeasure:
@@ -386,9 +398,10 @@ class TestMinimalityBound:
 
 
 class TestSetLawsCertified:
-    """dilation(a), (g), hilbert(1), (5) and induced(2) report a bound over
-    every set. The exhaustive scan over sets they replaced stays here as
-    the oracle: on dilations with noisy atoms, no set's defect exceeds it."""
+    """dilation(a), (d), (g), hilbert(1), (5) and induced(2) report a bound
+    over every set (for (d), every pair of sets). The exhaustive scans they
+    replaced stay here as oracles: on dilations with noisy atoms, no set's
+    or pair's defect exceeds the bound."""
 
     @staticmethod
     def _noisy(obj, field, rng):
@@ -431,3 +444,41 @@ class TestSetLawsCertified:
         for code, defects in scans.items():
             scan = max(max_abs(d) for d in defects)
             assert 0 < scan <= bound[code] * (1 + 1e-9), code
+
+    @pytest.mark.parametrize("make", [
+        lambda: positive_system(0), lambda: positive_system(1),
+        lambda: positive_system(2), lambda: positive_system(3),
+        lambda: system_from_scenario(
+            gen_example("positive-random", {"m": 8, "d": 2}, 1)),
+        lambda: system_from_scenario(
+            gen_example("spectral-random", {"m": 8, "d": 6}, 2)),
+        lambda: system_from_scenario(
+            gen_example("spectral-random", {"m": 5, "d": 5}, 3)),
+        lambda: system_from_scenario(
+            gen_example("bessel-cyclic", {"n": 8}, 4)),
+    ], ids=["positive0", "positive1", "positive2", "positive3",
+            "positive-random-m8", "spectral-random-m8", "spectral-random-m5",
+            "bessel-cyclic-m8"])
+    def test_pair_bound_covers_every_pair(self, make):
+        system = make()
+        assert system.ovm.space.atoms <= 8
+        minimal = self._noisy(build_minimal_dilation(system, TOL), "rho_atoms",
+                              rng_for(system.ovm.space.atoms))
+        [record] = [r for r in verify_dilation(minimal, system, TOL, samples=2)
+                    if r.paper_item == "dilation(d)"]
+        assert 0 < pair_scan(minimal.rho_atoms) <= record.max_residual * (
+            1 + 1e-9)
+
+
+def test_pair_law_reads_no_subset_sums(monkeypatch):
+    # dilation(d) is bounded on atom pairs; the 4^m scan over subset sums of
+    # rho that it replaced covered every m up to 12
+    system = system_from_scenario(gen_example("bessel-cyclic", {"n": 8}, 1))
+    ds = build_minimal_dilation(system, TOL)
+
+    def refuse(values):
+        raise AssertionError("verify_dilation took subset sums")
+
+    monkeypatch.setattr(banach, "subset_sums", refuse)
+    records = verify_dilation(ds, system, TOL, samples=2)
+    assert all(r.passed for r in records)

@@ -201,6 +201,13 @@ class TestSetBound:
         scan = max_abs(subset_sums(defects))
         assert scan <= set_bound(defects) <= m * max_abs(defects)
 
+    def test_streamed_stacks_sum_as_one(self, rng):
+        defects = rng.standard_normal((7, 3, 3)) + 1j * rng.standard_normal(
+            (7, 3, 3))
+        stacks = (defects[lo:lo + 3] for lo in range(0, 7, 3))
+        assert set_bound(stacks) == pytest.approx(set_bound(defects),
+                                                  rel=1e-15)
+
     def test_attained_when_entries_add_in_phase(self, rng):
         defects = np.abs(rng.standard_normal((5, 2, 2))) * np.exp(0.3j)
         assert set_bound(defects) == pytest.approx(

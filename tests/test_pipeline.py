@@ -187,6 +187,16 @@ def _scaled(obj, field):
     return dataclasses.replace(obj, **{field: (1 + DELTA) * getattr(obj, field)})
 
 
+def _traded(obj, field):
+    """obj whose first two atoms in ``field`` trade DELTA diag(1, -1): their
+    sum is unchanged, and so is covariance under a swap of the atoms."""
+    value = np.array(getattr(obj, field), copy=True)
+    trade = DELTA * np.diag([1.0, -1.0] + [0.0] * (value.shape[1] - 2))
+    value[0] += trade
+    value[1] -= trade
+    return dataclasses.replace(obj, **{field: value})
+
+
 def _built(field, corrupt):
     """Corrupt one field of what a builder returns."""
     return lambda original, *args: corrupt(original(*args), field)
@@ -235,6 +245,11 @@ FAULT_ROWS = {
     # Q rho(E) T = (1 + DELTA) phi(E); (c) is linear in T and still holds
     "dilation(a)": ("dilate-banach", banach, "build_minimal_dilation",
                     _built("T", _scaled), {"dilation(a)"}),
+    # rho's atoms stop being idempotent, with rho(Omega) and covariance kept;
+    # Q and T are invertible here (r = d = 2), so (a) fails with (d)
+    "dilation(d)": ("dilate-banach", banach, "build_minimal_dilation",
+                    _built("rho_atoms", _traded),
+                    {"dilation(a)", "dilation(d)"}),
     # noise on every rho atom also breaks (a), (d) and (e), which read rho
     "dilation(g)": ("dilate-banach", banach, "build_minimal_dilation",
                     _built("rho_atoms", _bumped),
@@ -286,7 +301,8 @@ def test_fault_row_fails_exactly_its_codes(monkeypatch, code):
 
 def test_covariance_defect_spread_over_atoms_fails(monkeypatch):
     # Every rho atom gains the same eps/10 covariance defect: no atom fails
-    # (g) on its own, the full set's defect is 13 times as large
+    # (g) on its own, the full set's defect is 13 times as large. The bound
+    # of (d) over every pair of sets fails too; two sampled pairs read 0.4 eps
     sc = gen_example("bessel-cyclic", {"n": 13, "d": 2}, 1)
     eps = sc.tolerance.eps_residual
 
@@ -302,3 +318,5 @@ def test_covariance_defect_spread_over_atoms_fails(monkeypatch):
     [record] = [r for r in report.checks if r.paper_item == "dilation(g)"]
     assert not record.passed
     assert record.max_residual == pytest.approx(1.3 * eps, rel=1e-6)
+    [record] = [r for r in report.checks if r.paper_item == "dilation(d)"]
+    assert not record.passed

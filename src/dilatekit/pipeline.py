@@ -127,24 +127,33 @@ def _hilbert_stage(mat: Materialized, tol: Tolerance
 
 def _prop_chain_stage(mat: Materialized, hd: hilbert.HilbertDilation,
                       minimal: banach.DilationSystem,
+                      upstream: List[CheckRecord],
                       tol: Tolerance) -> List[CheckRecord]:
-    """Induced-norm chain: Hilbert dilation -> restriction -> pulled-back
-    dilation norm -> minimality inequality, on the dilations already built."""
+    """Induced-norm chain: Hilbert dilation -> pulled-back dilation norm ->
+    minimality inequality, on the dilations already built. The adapter's
+    pi(Omega) is a sum of 0/1 block indicators, I exactly, so restricting
+    to its range would change nothing. Each record names the ``upstream``
+    ``dilation(*)`` and ``hilbert(*)`` laws that failed, if any."""
     system = mat.system
     records = []
     adapter = hilbert.hilbert_as_injective(hd)
-    restricted = banach.restrict_probability(adapter, tol)
-    sub = banach.verify_dilation(restricted, system, tol)
+    sub = banach.verify_dilation(adapter, system, tol)
     worst = max((r.max_residual for r in sub), default=0.0)
     records.append(check("restriction is a probability dilation system",
                          "restriction(probability)", worst, tol.eps_residual,
                          notes=f"{len(sub)} sub-checks"))
     records.append(banach.check_q_range_invariance(minimal, system, tol))
-    induced = banach.induced_norm_from_injective(restricted, system, tol,
+    induced = banach.induced_norm_from_injective(adapter, system, tol,
                                                  minimal=minimal)
     records.extend(induced.checks)
     _, _, min_records = banach.minimality_bound(induced, tol, tol.sample_count)
     records.extend(min_records)
+    broken = [r.paper_item for r in upstream if not r.passed
+              and r.paper_item.startswith(("dilation(", "hilbert("))]
+    if broken:
+        after = "after failed " + ", ".join(broken)
+        for r in records:
+            r.notes = f"{r.notes}; {after}" if r.notes else after
     return records
 
 
@@ -193,7 +202,7 @@ def run_pipeline(sc: Scenario, command: str, *, eps: Optional[float] = None,
                     and mat.group.is_group):
                 hd, records = _hilbert_stage(mat, tol)
                 checks.extend(records)
-                checks.extend(_prop_chain_stage(mat, hd, minimal, tol))
+                checks.extend(_prop_chain_stage(mat, hd, minimal, checks, tol))
         if command in ("dilate-framing",) or (command == "all"
                                               and mat.framing is not None):
             checks.extend(_framing_stage(mat, tol, cap))

@@ -5,9 +5,10 @@ from dilatekit.algebra import left_translation_action
 from dilatekit.banach import build_minimal_dilation, verify_dilation
 from dilatekit.errors import (EnumerationCapExceeded, SingularFrameOperator,
                               ZeroWindow)
-from dilatekit.framing import (FramingSystem, build_dilated_basis,
-                               cyclic_shift_framing, standard_basis_framing,
-                               verify_basis_dilation, verify_framing)
+from dilatekit.framing import (DilatedBasis, FramingSystem,
+                               build_dilated_basis, cyclic_shift_framing,
+                               standard_basis_framing, verify_basis_dilation,
+                               verify_framing)
 from dilatekit.imprimitivity import check_system
 from dilatekit.linalg import NormTag, Tolerance, max_abs
 from dilatekit.ovm import classify, framing_ovm
@@ -109,18 +110,71 @@ class TestVerifyBasisDilation:
             assert not bounded.passed
 
     def test_suppression_monotone_under_submask(self, rng):
-        fs = cyclic_shift_framing(3, 1, NormTag.l1(), seed=9)
+        # l1 at Z = 3 and lp(3) at Z = 10 (every one of the 2^10 masks)
+        for n, r, tag, rows in ((3, 1, NormTag.l1(), 10),
+                                (5, 2, NormTag.lp(3.0), 2)):
+            db = build_dilated_basis(cyclic_shift_framing(n, r, tag, seed=9))
+            z = db.z_dim
+            for _ in range(rows):
+                c = rng.standard_normal(z) + 1j * rng.standard_normal(z)
+                dp = db.suppressed_norms(c)
+                full = dp[-1]
+                assert np.all(dp <= full + 1e-12)
+                for mask in range(1 << z):
+                    sub = np.array([c[i] if mask >> i & 1 else 0.0
+                                    for i in range(z)], dtype=complex)
+                    assert db.z_norm(sub) == pytest.approx(
+                        dp[mask], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n,r", [(5, 2), (13, 1)], ids=["Z=10", "Z=13"])
+    def test_suppression_reads_no_index_sets(self, monkeypatch, n, r):
+        fs = cyclic_shift_framing(n, r, NormTag.lp(3.0), seed=1)
         db = build_dilated_basis(fs)
-        for _ in range(10):
-            c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            dp = db.suppressed_norms(c)
-            full = dp[-1]
-            assert np.all(dp <= full + 1e-12)
-            for mask in range(1 << 3):
-                sub = np.array([c[i] if mask >> i & 1 else 0.0
-                                for i in range(3)], dtype=complex)
-                assert db.z_norm(sub) == pytest.approx(dp[mask], rel=1e-12,
-                                                       abs=1e-12)
+
+        def refuse(self, coeffs):
+            raise AssertionError("verify_basis_dilation scanned index sets")
+
+        monkeypatch.setattr(DilatedBasis, "suppressed_norms", refuse)
+        monkeypatch.setattr(DilatedBasis, "z_norm", refuse)
+        records = verify_basis_dilation(db, fs, TOL, samples=2)
+        [record] = [r for r in records if r.paper_item == "basis(h)"]
+        assert record.passed and record.max_residual == 0.0
+        assert record.notes == "certified by the definition of the Z-norm"
+
+
+def _suppression_excess(db, rows, rng, masks):
+    """The two scans basis(h) made before it was certified: the largest
+    ||P_E f||_Z - ||f||_Z by max over submasks, and over random masks E."""
+    by_submasks = by_masks = 0.0
+    for row in rows:
+        dp = db.suppressed_norms(row)
+        full = db.z_norm(row)
+        assert dp[-1] == pytest.approx(full, rel=1e-12)
+        by_submasks = max(by_submasks, float(np.max(dp - dp[-1])))
+        for _ in range(masks):
+            mask = rng.integers(0, 2, size=db.z_dim).astype(bool)
+            by_masks = max(by_masks, db.z_norm(np.where(mask, row, 0.0)) - full)
+    return by_submasks, by_masks
+
+
+class TestSuppressionOracle:
+    """basis(h) reads 0 by the definition of the Z-norm; the scans it
+    replaced read exactly 0 too: a masked row's subset sums are the full
+    row's sums over E n mask, up to the sign of a zero."""
+
+    @pytest.mark.parametrize("z", range(1, 11))
+    def test_scans_read_zero(self, rng, z):
+        n, r = (z // 2, 2) if z % 2 == 0 else (z, 1)
+        for seed, tag in enumerate((NormTag.l1(), NormTag.l2(), NormTag.linf(),
+                                    NormTag.lp(3.0))):
+            db = build_dilated_basis(cyclic_shift_framing(n, r, tag, seed))
+            rows = rng.standard_normal((8, z)) + 1j * rng.standard_normal((8, z))
+            assert _suppression_excess(db, rows, rng, masks=8) == (0.0, 0.0)
+
+    def test_scans_read_zero_above_twelve_indices(self, rng):
+        db = build_dilated_basis(cyclic_shift_framing(13, 1, NormTag.l1(), 5))
+        rows = rng.standard_normal((4, 13)) + 1j * rng.standard_normal((4, 13))
+        assert _suppression_excess(db, rows, rng, masks=32) == (0.0, 0.0)
 
 
 class TestCyclicShiftFraming:

@@ -57,10 +57,11 @@ def _count_calls(monkeypatch, scenario: str, command: str) -> Counter:
 
 
 @pytest.mark.parametrize("scenario,command,expected", [
-    # one verification of the minimal dilation, one of the restriction
+    # one verification of the minimal dilation, one of the Hilbert adapter,
+    # whose pi(Omega) is I exactly, so it is not restricted
     ("z2_bessel.json", "all", {"build_minimal_dilation": 1,
                                "verify_dilation": 2,
-                               "restrict_probability": 1,
+                               "restrict_probability": 0,
                                "build_hilbert_dilation": 1,
                                "verify_hilbert_dilation": 1}),
     ("z2_framing_swap.json", "all", {"verify_dilation": 1,
@@ -138,6 +139,24 @@ def test_non_unitary_lift_keeps_every_record(monkeypatch):
     assert by_code["hilbert(2)"].max_residual == pytest.approx(1.0)
 
 
+CHAIN_CODES = (["restriction(probability)", "restriction(Q-range)"]
+               + [f"induced({law})" for law in range(5)] + ["minimality"])
+
+
+def test_chain_names_the_failed_laws_it_rests_on():
+    # at eps 1e-15 rounding fails dilation(a) and four hilbert laws; every
+    # record of the induced-norm chain built on those dilations says so
+    sc = gen_example("positive-random", {"m": 5, "d": 3}, 2)
+    report = run_pipeline(sc, "all", eps=1e-15)
+    after = ("after failed dilation(a), hilbert(1), hilbert(2), hilbert(3), "
+             "hilbert(5)")
+    chain = [r for r in report.checks if r.paper_item in CHAIN_CODES]
+    assert [r.paper_item for r in chain] == CHAIN_CODES
+    assert all(r.notes.endswith(after) for r in chain)
+    assert not any("after failed" in r.notes for r in report.checks
+                   if r.paper_item not in CHAIN_CODES)
+
+
 def test_failure_record_keeps_the_measured_residual():
     # dilate-banach z3_regular_bessel.json --eps 1e-17: V_s leaves the
     # dilation space by float rounding, above the absurd tolerance
@@ -187,6 +206,10 @@ def _scaled(obj, field):
     return dataclasses.replace(obj, **{field: (1 + DELTA) * getattr(obj, field)})
 
 
+def _shrunk(obj, field):
+    return dataclasses.replace(obj, **{field: (1 - DELTA) * getattr(obj, field)})
+
+
 def _traded(obj, field):
     """obj whose first two atoms in ``field`` trade DELTA diag(1, -1): their
     sum is unchanged, and so is covariance under a swap of the atoms."""
@@ -229,11 +252,11 @@ def _kernel_push(original, ds, system, tol, minimal):
 
 
 def _negated_multiplier(original, *args):
-    restricted = original(*args)
-    omega = -restricted.multiplier.omega
+    adapter = original(*args)
+    omega = -adapter.multiplier.omega
     return dataclasses.replace(
-        restricted, multiplier=dataclasses.replace(restricted.multiplier,
-                                                   omega=omega))
+        adapter, multiplier=dataclasses.replace(adapter.multiplier,
+                                                omega=omega))
 
 
 def _first_q_column(original, minimal, system, tol):
@@ -277,8 +300,8 @@ FAULT_ROWS = {
                    _induced(_keep, lambda m: _bumped(m, "Q")), {"induced(3)"}),
     "induced(4)": ("all", banach, "induced_norm_from_injective",
                    _induced(_keep, lambda m: _bumped(m, "T")), {"induced(4)"}),
-    # only the verification of the restriction reads its multiplier
-    "restriction(probability)": ("all", banach, "restrict_probability",
+    # only the verification of the Hilbert adapter reads its multiplier
+    "restriction(probability)": ("all", hilbert, "hilbert_as_injective",
                                  _negated_multiplier,
                                  {"restriction(probability)"}),
     # range(Q) of a minimal dilation is the sum of the atoms' ranges, which
@@ -286,6 +309,15 @@ FAULT_ROWS = {
     # valid input reaches this code; the row hands the check one column of Q
     "restriction(Q-range)": ("all", banach, "check_q_range_invariance",
                              _first_q_column, {"restriction(Q-range)"}),
+    # framing rows run dilate-framing on z2_framing_swap.json. basis(h) has
+    # no row: ||P_E f||_Z <= ||f||_Z holds for every f and every basis by the
+    # definition of the Z-norm as a max over index sets, so no input fails it.
+    # S T = 1 + DELTA: ||x|| <= ||S T x|| <= ||Tx||_Z still bounds T below
+    "basis(a)": ("dilate-framing", pipeline, "build_dilated_basis",
+                 _built("T", _scaled), {"basis(a)"}),
+    # S T = 1 - DELTA: ||Tx||_Z / ||x|| drops to 1 - DELTA, under 1 - eps
+    "basis(i)": ("dilate-framing", pipeline, "build_dilated_basis",
+                 _built("T", _shrunk), {"basis(a)", "basis(i)"}),
 }
 
 
@@ -293,10 +325,17 @@ FAULT_ROWS = {
 def test_fault_row_fails_exactly_its_codes(monkeypatch, code):
     command, module, name, call, failing = FAULT_ROWS[code]
     _wrap(monkeypatch, module, name, call)
-    report = run_pipeline(load_scenario(GOLDEN / "z2_bessel.json"), command)
+    scenario = ("z2_framing_swap.json" if command == "dilate-framing"
+                else "z2_bessel.json")
+    report = run_pipeline(load_scenario(GOLDEN / scenario), command)
     assert code in failing
     assert {r.paper_item for r in report.checks if not r.passed} == failing
-    assert all(math.isfinite(r.max_residual) for r in report.checks)
+    for r in report.checks:
+        if r.paper_item == "basis(i)":
+            # a flag, residual 0 or inf; its notes carry the measured ratio
+            assert "min ||Tx||_Z / ||x||_X = " in r.notes
+        else:
+            assert math.isfinite(r.max_residual), r.paper_item
 
 
 def test_covariance_defect_spread_over_atoms_fails(monkeypatch):

@@ -290,6 +290,17 @@ class TestCli:
                           "--eps", "1e-30")
         assert result.exit_code == 1
 
+    def test_tight_eps_fails_hilbert_laws_exit_1(self):
+        # eigh rounding on the atoms sits above eps = 1e-16: a failed law
+        # with its measured residual, not an input error
+        result = self.run("dilate-hilbert", str(GOLDEN / "z2_bessel.json"),
+                          "--eps", "1e-16", "--format", "json")
+        assert result.exit_code == 1, result.output
+        payload = json.loads(result.output)
+        [record] = [c for c in payload["checks"]
+                    if c["paper_item"] == "hilbert(1)"]
+        assert not record["pass"] and record["max_residual"] > 1e-16
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_non_finite_eps_exit_2(self, eps):
         result = self.run("all", str(GOLDEN / "z2_bessel.json"), "--eps", eps)

@@ -7,10 +7,9 @@ from .algebra import (FiniteGroup, GroupAction, MeasurableSpace, Multiplier,
                       check_semigroup, cyclic_group, left_translation_action,
                       symmetric_group, trivial_multiplier)
 from .banach import (DilationSpaceAlpha, DilationSystem, InducedDilationNorm,
-                     VectorMeasure, alpha_norm, build_minimal_dilation,
-                     check_q_range_invariance, induced_norm_from_injective,
-                     make_phi_x_E, minimality_bound, restrict_probability,
-                     verify_dilation)
+                     build_minimal_dilation, check_q_range_invariance,
+                     induced_norm_from_injective, minimality_bound,
+                     restrict_probability, verify_dilation)
 from .framing import (DilatedBasis, FramingSystem, build_dilated_basis,
                       cyclic_shift_framing, standard_basis_framing,
                       verify_basis_dilation, verify_framing)

@@ -61,7 +61,8 @@ def _pipeline_command(name: str, doc: str):
     @click.option("--eps", type=float, default=None,
                   help="Override the residual tolerance.")
     @click.option("--samples", type=int, default=None,
-                  help="Override the sampling budget.")
+                  help="Accepted and validated; no check samples, so it "
+                       "changes no report.")
     @click.option("--cap", type=int, default=None,
                   help="Override the subset-enumeration cap.")
     def cmd(scenario_file, out, fmt, eps, samples, cap):

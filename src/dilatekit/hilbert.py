@@ -165,9 +165,9 @@ def verify_hilbert_dilation(hd: HilbertDilation, system: ImprimitivitySystem,
 
 def hilbert_as_injective(hd: HilbertDilation):
     """Wrap the dilation as an injective dilation system with the Euclidean
-    carrier norm, consumable by the induced-norm and minimality machinery.
-    Injectivity holds by construction: block coordinates are faithful on
-    the span of the generating measures."""
+    carrier norm (no alpha carrier), consumable by the induced-norm and
+    minimality machinery. Injectivity holds by construction: block
+    coordinates are faithful on the span of the generating measures."""
     from .banach import DilationSystem  # local import avoids a cycle
 
     system = hd.system
@@ -176,7 +176,4 @@ def hilbert_as_injective(hd: HilbertDilation):
         space=system.ovm.space, target=system.ovm.target, dim=hd.K_dim,
         v_ops=hd.u_tilde, rho_atoms=hd.pi_atoms,
         Q=hd.V.conj().T, T=hd.V,
-        norm=lambda c: float(np.linalg.norm(np.asarray(c, dtype=np.complex128))),
-        norm_batch=lambda rows: np.linalg.norm(
-            np.asarray(rows, dtype=np.complex128), axis=1),
     )

@@ -21,14 +21,19 @@ import numpy as np
 
 from .errors import InvalidInput
 
-# Threshold of the sampled isometry checks, on the relative change of a norm.
+# Threshold of the isometry laws dilation(h) and basis(c), on the relative
+# change of a norm.
 ISOMETRY_RTOL = 1e-8
-# Default cap on the atoms (or basis indices) of an exact 2^m norm scan.
+# Default cap on the atoms (or basis indices) of a construction whose norm
+# is a max over all 2^m sets.
 ENUMERATION_CAP = 16
 # Working memory of one chunk of subset sums in max_subset_norms.
 SUBSET_CHUNK_BYTES = 8 << 20
 # Report note of every check whose residual is a set_bound.
 SET_BOUND_NOTE = "certified bound over every set"
+# Report note of every norm law certified from the operators, with no
+# norm evaluated.
+ELEMENT_BOUND_NOTE = "certified bound over every element"
 
 
 def as_vector(v) -> np.ndarray:
@@ -123,7 +128,8 @@ class NormedSpace:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Residual thresholds and sampling budget used by all verifiers."""
+    """Residual thresholds used by all verifiers. ``sample_count`` and
+    ``seed`` are kept for schema v1; no check samples."""
 
     eps_residual: float = 1e-9
     eps_rank: float = 1e-10
@@ -137,9 +143,6 @@ class Tolerance:
             raise InvalidInput("sample_count must be >= 1")
         if self.seed < 0:
             raise InvalidInput("seed must be nonnegative")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 def vec_norm(v, tag: NormTag) -> float:
@@ -183,6 +186,43 @@ def _norm_root(inner: np.ndarray, tag: NormTag) -> np.ndarray:
         inv = 1.0 / tag.p
         return np.array([float(s) ** inv for s in inner])
     return inner
+
+
+def norm_bound(m, tag: NormTag) -> float:
+    """Upper bound N(M) on the operator norm of M on (C^d, tag): exact for
+    l1 (largest column sum of moduli), l2 (largest singular value) and linf
+    (largest row sum); for lp the Riesz-Thorin bound N_1^(1/p) N_inf^(1-1/p).
+    """
+    a = as_matrix(m)
+    if a.size == 0:
+        return 0.0
+    if tag.kind == "l2":
+        return float(np.linalg.svd(a, compute_uv=False)[0])
+    mags = np.abs(a)
+    col, row = float(mags.sum(axis=0).max()), float(mags.sum(axis=1).max())
+    if tag.kind == "l1":
+        return col
+    if tag.kind == "linf":
+        return row
+    return col ** (1.0 / tag.p) * row ** (1.0 - 1.0 / tag.p)
+
+
+def shrink_bound(m, tag: NormTag) -> float:
+    """1 - 1/N(M^-1), with N from :func:`norm_bound`: a bound on
+    1 - ||My|| / ||y|| over every y != 0, since ||y|| <= N(M^-1) ||My||.
+    A singular M sends some y to 0, so it reads 1."""
+    try:
+        return 1.0 - 1.0 / norm_bound(np.linalg.inv(m), tag)
+    except np.linalg.LinAlgError:
+        return 1.0
+
+
+def distortion(m, tag: NormTag) -> float:
+    """max(0, N(M) - 1, 1 - 1/N(M^-1)): a bound on | ||My|| / ||y|| - 1 |
+    over every y != 0, 0 for an empty M."""
+    if np.size(m) == 0:
+        return 0.0
+    return max(0.0, norm_bound(m, tag) - 1.0, shrink_bound(m, tag))
 
 
 def row_norms(rows: np.ndarray, tag: NormTag) -> np.ndarray:

@@ -146,8 +146,7 @@ def _prop_chain_stage(mat: Materialized, hd: hilbert.HilbertDilation,
     induced = banach.induced_norm_from_injective(adapter, system, tol,
                                                  minimal=minimal)
     records.extend(induced.checks)
-    _, _, min_records = banach.minimality_bound(induced, tol, tol.sample_count)
-    records.extend(min_records)
+    records.extend(banach.minimality_bound(induced, tol)[1])
     broken = [r.paper_item for r in upstream if not r.passed
               and r.paper_item.startswith(("dilation(", "hilbert("))]
     if broken:
@@ -171,6 +170,8 @@ def run_pipeline(sc: Scenario, command: str, *, eps: Optional[float] = None,
     """Run a pipeline command against a loaded scenario and report.
 
     ``eps``/``samples``/``cap`` override the scenario tolerance block.
+    No check samples, so ``samples``, like the scenario's ``sample_count``
+    and ``seed``, is validated and changes no report.
     """
     if command not in COMMANDS:
         raise InvalidParams(f"unknown command {command!r}")

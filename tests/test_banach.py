@@ -8,11 +8,10 @@ from dilatekit import banach
 from dilatekit.algebra import (MeasurableSpace, act_on_set, check_action,
                                cyclic_group, left_translation_action,
                                trivial_multiplier)
-from dilatekit.banach import (DilationSystem, VectorMeasure, alpha_norm,
-                              build_minimal_dilation, check_q_range_invariance,
-                              induced_norm_from_injective, make_phi_x_E,
-                              minimality_bound, restrict_probability,
-                              verify_dilation)
+from dilatekit.banach import (DilationSystem, build_minimal_dilation,
+                              check_q_range_invariance,
+                              induced_norm_from_injective, minimality_bound,
+                              restrict_probability, verify_dilation)
 from dilatekit.errors import (EnumerationCapExceeded, InvalidInput,
                               NotIdempotent, NotInjective,
                               SemigroupNotSupported)
@@ -26,6 +25,8 @@ from dilatekit.scenario import gen_example, load_scenario
 
 from conftest import (general_system, positive_system, rng_for, shift_rep,
                       system_from_scenario)
+from oracles import (VectorMeasure, alpha_norm, alpha_of_coords,
+                     carrier_norms, gaussian, make_phi_x_E, sampled_minimality)
 
 TOL = Tolerance()
 GOLDEN = Path(__file__).resolve().parents[1] / "scenarios"
@@ -136,7 +137,8 @@ class TestMinimalDilation:
         got = (ds.Q @ ds.rho_atoms[0] @ ds.T)[0, 0]
         assert got == pytest.approx(0.5, abs=1e-14)
         coords = ds.T @ np.array([1.0 + 0j])
-        assert ds.norm(coords) == pytest.approx(1.0, abs=1e-14)
+        assert alpha_of_coords(ds.carrier, coords) == pytest.approx(1.0,
+                                                                  abs=1e-14)
 
     def test_spectral_anchor(self):
         rep = shift_rep(2, NormTag.l2())
@@ -158,7 +160,7 @@ class TestMinimalDilation:
         system, _ = check_system(rep, measure, action)
         ds = build_minimal_dilation(system, TOL)
         assert ds.dim == 0
-        assert all(r.passed for r in verify_dilation(ds, system, TOL, samples=8))
+        assert all(r.passed for r in verify_dilation(ds, system, TOL))
 
     def test_semigroup_rejected(self):
         from dilatekit.algebra import check_semigroup
@@ -186,7 +188,7 @@ class TestMinimalDilation:
             expected = sum(numeric_rank(system.ovm.atoms[w], TOL)
                            for w in range(system.ovm.space.atoms))
             assert ds.dim == expected
-            records = verify_dilation(ds, system, TOL, samples=50)
+            records = verify_dilation(ds, system, TOL)
             assert all(r.passed for r in records), \
                 [(r.name, r.max_residual) for r in records if not r.passed]
 
@@ -196,10 +198,10 @@ class TestMinimalDilation:
         carrier = ds.carrier
         for _ in range(30):
             coords = rng.standard_normal(ds.dim) + 1j * rng.standard_normal(ds.dim)
-            full = carrier.alpha_of_coords(coords)
+            full = alpha_of_coords(carrier, coords)
             for w in range(system.ovm.space.atoms):
                 restricted = ds.rho_atoms[w] @ coords
-                assert carrier.alpha_of_coords(restricted) <= full + 1e-12
+                assert alpha_of_coords(carrier, restricted) <= full + 1e-12
 
     def test_dropped_rho_block_fails_e(self):
         system = general_system(3)
@@ -208,7 +210,7 @@ class TestMinimalDilation:
         rho_atoms[1] = 0.0
         corrupted = dataclasses.replace(ds, rho_atoms=rho_atoms)
         by_code = {r.paper_item: r
-                   for r in verify_dilation(corrupted, system, TOL, samples=8)}
+                   for r in verify_dilation(corrupted, system, TOL)}
         assert not by_code["dilation(e)"].passed
         assert by_code["dilation(e)"].max_residual == 1.0
 
@@ -231,13 +233,12 @@ class TestHandBuiltDilation:
             rho_atoms=np.stack([np.diag([1.0, 0j]), np.diag([0j, 1.0])]),
             Q=np.array([[0.5, 0.5]], dtype=complex),
             T=np.array([[1.0], [1.0]], dtype=complex),
-            norm=lambda c: float(np.linalg.norm(c)),
         )
         return system, ds
 
     def test_hand_built_passes(self):
         system, ds = self._hand_system()
-        records = verify_dilation(ds, system, TOL, samples=20)
+        records = verify_dilation(ds, system, TOL)
         by_code = {r.paper_item: r for r in records}
         for code in ("dilation(a)", "dilation(b)", "dilation(c)",
                      "dilation(d)", "dilation(e)"):
@@ -250,17 +251,19 @@ class TestHandBuiltDilation:
         corrupted = DilationSystem(
             group=ds.group, multiplier=ds.multiplier, space=ds.space,
             target=ds.target, dim=ds.dim, v_ops=ds.v_ops, rho_atoms=bad,
-            Q=ds.Q, T=ds.T, norm=ds.norm)
+            Q=ds.Q, T=ds.T)
         by_code = {r.paper_item: r
-                   for r in verify_dilation(corrupted, system, TOL, samples=8)}
+                   for r in verify_dilation(corrupted, system, TOL)}
         assert not by_code["dilation(d)"].passed
         assert not by_code["dilation(e)"].passed
 
 
 class TestRestriction:
     def test_probability_input_is_fixed_point(self):
+        # V_s is unitary here, so the Euclidean carrier norm is preserved
         system = general_system(0)
-        ds = build_minimal_dilation(system, TOL)
+        ds = dataclasses.replace(build_minimal_dilation(system, TOL),
+                                 carrier=None)
         restricted = restrict_probability(ds, TOL)
         records = verify_dilation(restricted, system, TOL)
         assert restricted.dim == ds.dim
@@ -277,8 +280,7 @@ class TestRestriction:
             target=ds.target, dim=r + 1,
             v_ops=np.stack([pad @ v @ pad.conj().T for v in ds.v_ops]),
             rho_atoms=np.stack([pad @ x @ pad.conj().T for x in ds.rho_atoms]),
-            Q=ds.Q @ pad.conj().T, T=pad @ ds.T,
-            norm=lambda c: float(np.linalg.norm(c)))
+            Q=ds.Q @ pad.conj().T, T=pad @ ds.T)
         restricted = restrict_probability(padded, TOL)
         records = verify_dilation(restricted, system, TOL)
         assert restricted.dim == r
@@ -290,9 +292,15 @@ class TestRestriction:
         bad = DilationSystem(
             group=ds.group, multiplier=ds.multiplier, space=ds.space,
             target=ds.target, dim=ds.dim, v_ops=ds.v_ops,
-            rho_atoms=1.5 * ds.rho_atoms, Q=ds.Q, T=ds.T, norm=ds.norm)
+            rho_atoms=1.5 * ds.rho_atoms, Q=ds.Q, T=ds.T)
         with pytest.raises(NotIdempotent):
             restrict_probability(bad, TOL)
+
+    def test_alpha_carrier_rejected(self):
+        # the alpha norm of a subspace has no carrier of its own
+        ds = build_minimal_dilation(scalar_half_half_system(), TOL)
+        with pytest.raises(InvalidInput):
+            restrict_probability(ds, TOL)
 
     def test_q_range_invariance(self):
         for seed in (0, 3, 5):
@@ -309,9 +317,9 @@ class TestInducedNorm:
                                               minimal=minimal)
         assert all(r.passed for r in induced.checks)
         assert max_abs(induced.R - np.eye(minimal.dim)) <= 1e-9
-        coords = minimal.sample_carrier(np.random.default_rng(0), 5)
-        for c in coords:
-            assert induced.d_norm(c) == pytest.approx(minimal.norm(c), rel=1e-9)
+        coords = gaussian(np.random.default_rng(0), (5, minimal.dim))
+        assert carrier_norms(minimal, coords @ induced.R.T) == pytest.approx(
+            carrier_norms(minimal, coords), rel=1e-9)
 
     def test_hilbert_adapter_chain(self):
         system = positive_system(1)
@@ -339,8 +347,7 @@ class TestInducedNorm:
             group=g, multiplier=trivial_multiplier(g), space=space,
             target=target, dim=2, v_ops=np.eye(2, dtype=complex)[None],
             rho_atoms=np.eye(2, dtype=complex)[None],
-            Q=np.eye(2, dtype=complex), T=np.eye(2, dtype=complex),
-            norm=lambda c: float(np.linalg.norm(c)))
+            Q=np.eye(2, dtype=complex), T=np.eye(2, dtype=complex))
         with pytest.raises(NotInjective):
             induced_norm_from_injective(fake, system, TOL)
 
@@ -354,14 +361,16 @@ class TestMinimalityBound:
         induced = induced_norm_from_injective(adapter, system, TOL,
                                               minimal=minimal)
         coords = minimal.T @ np.array([1.0 + 0j])
-        assert minimal.norm(coords) == pytest.approx(1.0, abs=1e-12)
-        assert induced.d_norm(coords) == pytest.approx(1.0, abs=1e-12)
-        d_single = induced.d_norm(
-            minimal.carrier.coords_from_values(np.array([[0.5], [0.0]])))
+        assert alpha_of_coords(minimal.carrier, coords) == pytest.approx(
+            1.0, abs=1e-12)
+        assert np.linalg.norm(induced.R @ coords) == pytest.approx(1.0,
+                                                                   abs=1e-12)
+        d_single = np.linalg.norm(induced.R @ minimal.carrier.coords_from_values(
+            np.array([[0.5], [0.0]])))
         assert d_single == pytest.approx(np.sqrt(0.5), abs=1e-12)
-        c_est, k, records = minimality_bound(induced, TOL, samples=200)
+        k, records = minimality_bound(induced, TOL)
         assert all(r.passed for r in records)
-        assert c_est <= k + 1e-12
+        assert sampled_minimality(induced, samples=200)["ratio"] <= k + 1e-12
 
     def test_no_violations_on_positive_systems(self):
         for seed in (0, 2):
@@ -369,9 +378,9 @@ class TestMinimalityBound:
             hd = build_hilbert_dilation(system, TOL)
             induced = induced_norm_from_injective(hilbert_as_injective(hd),
                                                   system, TOL)
-            _, _, records = minimality_bound(induced, TOL, samples=300)
+            _, records = minimality_bound(induced, TOL)
             assert all(r.passed for r in records)
-            assert "violations=0" in records[-1].notes
+            assert sampled_minimality(induced, samples=300)["violations"] == 0
 
     def test_shrunk_R_fails(self):
         # d(mu) = ||R mu||_2 halves while K comes from the target alone
@@ -380,12 +389,12 @@ class TestMinimalityBound:
         hd = build_hilbert_dilation(system, TOL)
         restricted = restrict_probability(hilbert_as_injective(hd), TOL)
         induced = induced_norm_from_injective(restricted, system, TOL)
-        _, _, [record] = minimality_bound(induced, TOL, samples=256)
+        _, [record] = minimality_bound(induced, TOL)
         assert record.passed
         induced.R = 0.5 * induced.R
-        _, _, [record] = minimality_bound(induced, TOL, samples=256)
+        _, [record] = minimality_bound(induced, TOL)
         assert not record.passed
-        assert "violations=0/" not in record.notes
+        assert sampled_minimality(induced)["violations"] > 0
 
     def test_non_euclidean_space_rejected(self):
         system = next(s for s in map(general_system, range(8))
@@ -394,7 +403,7 @@ class TestMinimalityBound:
         induced = induced_norm_from_injective(minimal, system, TOL,
                                               minimal=minimal)
         with pytest.raises(InvalidInput):
-            minimality_bound(induced, TOL, samples=8)
+            minimality_bound(induced, TOL)
 
 
 class TestSetLawsCertified:
@@ -464,7 +473,7 @@ class TestSetLawsCertified:
         assert system.ovm.space.atoms <= 8
         minimal = self._noisy(build_minimal_dilation(system, TOL), "rho_atoms",
                               rng_for(system.ovm.space.atoms))
-        [record] = [r for r in verify_dilation(minimal, system, TOL, samples=2)
+        [record] = [r for r in verify_dilation(minimal, system, TOL)
                     if r.paper_item == "dilation(d)"]
         assert 0 < pair_scan(minimal.rho_atoms) <= record.max_residual * (
             1 + 1e-9)
@@ -480,5 +489,5 @@ def test_pair_law_reads_no_subset_sums(monkeypatch):
         raise AssertionError("verify_dilation took subset sums")
 
     monkeypatch.setattr(banach, "subset_sums", refuse)
-    records = verify_dilation(ds, system, TOL, samples=2)
+    records = verify_dilation(ds, system, TOL)
     assert all(r.passed for r in records)

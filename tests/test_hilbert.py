@@ -177,6 +177,6 @@ class TestProperties:
         system = positive_system(2)
         hd = build_hilbert_dilation(system, TOL)
         adapter = hilbert_as_injective(hd)
-        records = verify_dilation(adapter, system, TOL, samples=50)
+        records = verify_dilation(adapter, system, TOL)
         assert all(r.passed for r in records), \
             [(r.name, r.max_residual) for r in records if not r.passed]

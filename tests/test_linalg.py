@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from dilatekit import linalg
 from dilatekit.errors import InvalidInput
-from dilatekit.linalg import (NormTag, cyclic_shifts, dual_pair,
+from dilatekit.linalg import (NormTag, cyclic_shifts, distortion, dual_pair,
                               hermitian_eig, hermitian_inner, invariance_defect,
                               is_isometry, max_abs, max_subset_norms,
-                              numeric_rank, random_unitary, row_norms,
-                              set_bound, subset_sums, vec_norm)
+                              norm_bound, numeric_rank, random_unitary,
+                              row_norms, set_bound, shrink_bound, subset_sums,
+                              vec_norm)
 
 L1, L2, LINF = NormTag.l1(), NormTag.l2(), NormTag.linf()
 ALL_TAGS = [L1, L2, LINF, NormTag.lp(3.0)]
@@ -212,6 +213,34 @@ class TestSetBound:
         defects = np.abs(rng.standard_normal((5, 2, 2))) * np.exp(0.3j)
         assert set_bound(defects) == pytest.approx(
             max_abs(subset_sums(defects)), rel=1e-14)
+
+
+class TestNormBound:
+    @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.label())
+    def test_bounds_every_sampled_ratio(self, rng, tag):
+        for _ in range(20):
+            m = _random_values(rng, (4, 4))
+            x = _random_values(rng, (64, 4))
+            ratios = row_norms(x @ m.T, tag) / row_norms(x, tag)
+            assert np.max(ratios) <= norm_bound(m, tag) * (1 + 1e-12)
+            assert np.max(1.0 - ratios) <= shrink_bound(m, tag) + 1e-12
+            assert np.max(np.abs(ratios - 1.0)) <= distortion(m, tag) + 1e-12
+
+    def test_exact_on_a_diagonal(self):
+        m = np.diag([3.0, -0.5j, 1.0])
+        for tag in ALL_TAGS:
+            assert norm_bound(m, tag) == pytest.approx(3.0, rel=1e-15)
+            assert distortion(m, tag) == pytest.approx(2.0, rel=1e-15)
+            assert shrink_bound(m, tag) == pytest.approx(0.5, rel=1e-15)
+
+    def test_phased_permutation_has_no_distortion(self):
+        m = 1j * cyclic_shifts(5)[2]
+        for tag in (L1, LINF, NormTag.lp(3.0)):
+            assert distortion(m, tag) == 0.0
+
+    def test_singular_shrinks_to_zero(self):
+        assert shrink_bound(np.diag([1.0, 0.0]), L2) == 1.0
+        assert distortion(np.zeros((0, 0)), L1) == 0.0
 
 
 def _reference_max_norms(values, tag):

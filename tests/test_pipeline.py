@@ -264,6 +264,13 @@ def _first_q_column(original, minimal, system, tol):
                     tol)
 
 
+def _shrunk_R(original, *args, **kwargs):
+    # only minimality reads R after induced(*) were checked with it
+    induced = original(*args, **kwargs)
+    induced.R = 0.99 * induced.R
+    return induced
+
+
 FAULT_ROWS = {
     # Q rho(E) T = (1 + DELTA) phi(E); (c) is linear in T and still holds
     "dilation(a)": ("dilate-banach", banach, "build_minimal_dilation",
@@ -278,6 +285,11 @@ FAULT_ROWS = {
                     _built("rho_atoms", _bumped),
                     {"dilation(a)", "dilation(d)", "dilation(e)",
                      "dilation(g)"}),
+    # noise on every V_s also breaks the laws (b), (c), (f), (g) that read V
+    "dilation(h)": ("dilate-banach", banach, "build_minimal_dilation",
+                    _built("v_ops", _bumped),
+                    {"dilation(b)", "dilation(c)", "dilation(f)",
+                     "dilation(g)", "dilation(h)"}),
     # ||V|| = ||phi(Omega)||^(1/2) (hilbert(7)) reads V too
     "hilbert(1)": ("dilate-hilbert", hilbert, "build_hilbert_dilation",
                    _built("V", _scaled), {"hilbert(1)", "hilbert(7)"}),
@@ -300,6 +312,9 @@ FAULT_ROWS = {
                    _induced(_keep, lambda m: _bumped(m, "Q")), {"induced(3)"}),
     "induced(4)": ("all", banach, "induced_norm_from_injective",
                    _induced(_keep, lambda m: _bumped(m, "T")), {"induced(4)"}),
+    # d(mu) = ||R mu|| shrinks by 1 %, below alpha(mu) / K on some mu
+    "minimality": ("all", banach, "induced_norm_from_injective", _shrunk_R,
+                   {"minimality"}),
     # only the verification of the Hilbert adapter reads its multiplier
     "restriction(probability)": ("all", hilbert, "hilbert_as_injective",
                                  _negated_multiplier,
@@ -315,6 +330,14 @@ FAULT_ROWS = {
     # S T = 1 + DELTA: ||x|| <= ||S T x|| <= ||Tx||_Z still bounds T below
     "basis(a)": ("dilate-framing", pipeline, "build_dilated_basis",
                  _built("T", _scaled), {"basis(a)"}),
+    # noise on every lambda_h also breaks every law that reads lambda
+    "basis(c)": ("dilate-framing", pipeline, "build_dilated_basis",
+                 _built("lambdas", _bumped),
+                 {"basis(b)", "basis(c)", "basis(d1)", "basis(d2)",
+                  "basis(e)", "basis(f)"}),
+    # ||S f||_X reaches (1 + DELTA) ||f||_Z on f = T x
+    "basis(g)": ("dilate-framing", pipeline, "build_dilated_basis",
+                 _built("S", _scaled), {"basis(a)", "basis(g)"}),
     # S T = 1 - DELTA: ||Tx||_Z / ||x|| drops to 1 - DELTA, under 1 - eps
     "basis(i)": ("dilate-framing", pipeline, "build_dilated_basis",
                  _built("T", _shrunk), {"basis(a)", "basis(i)"}),
@@ -331,11 +354,54 @@ def test_fault_row_fails_exactly_its_codes(monkeypatch, code):
     assert code in failing
     assert {r.paper_item for r in report.checks if not r.passed} == failing
     for r in report.checks:
-        if r.paper_item == "basis(i)":
-            # a flag, residual 0 or inf; its notes carry the measured ratio
-            assert "min ||Tx||_Z / ||x||_X = " in r.notes
-        else:
-            assert math.isfinite(r.max_residual), r.paper_item
+        assert math.isfinite(r.max_residual), r.paper_item
+
+
+GUARD_SCENARIOS = (
+    [(path.name, lambda p=path: load_scenario(p))
+     for path in sorted(GOLDEN.glob("*.json"))]
+    + [(f"{kind}-{params}", lambda k=kind, p=params: gen_example(k, p, 1))
+       for kind, params in (("bessel-cyclic", {"n": 16}),
+                            ("positive-random", {"m": 16, "d": 4}),
+                            ("framing-single", {"n": 16}))])
+
+
+def _timeless(report) -> dict:
+    out = report.to_dict()
+    out.pop("elapsed_seconds")
+    return out
+
+
+@pytest.mark.parametrize("name,load", GUARD_SCENARIOS,
+                         ids=[name for name, _ in GUARD_SCENARIOS])
+def test_reports_evaluate_no_norm_over_sets(monkeypatch, name, load):
+    # every law that reads the alpha norm or the Z-norm is certified from
+    # the operators, up to the 16-atom cap, and no report draws a sample
+    sc = load()
+    default = {}
+    for command in pipeline.COMMANDS:
+        try:
+            default[command] = _timeless(run_pipeline(sc, command))
+        except pipeline.INPUT_ERRORS:
+            continue
+        assert default[command] == _timeless(
+            run_pipeline(sc, command, samples=17))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report evaluated a norm over sets")
+
+    for module in MODULES:
+        for kernel in ("max_subset_norms", "subset_sums"):
+            if hasattr(module, kernel):
+                monkeypatch.setattr(module, kernel, refuse)
+    monkeypatch.setattr(banach.DilationSpaceAlpha, "alpha_batch", refuse)
+    monkeypatch.setattr(framing.DilatedBasis, "z_batch", refuse)
+    for command, expected in default.items():
+        report = run_pipeline(sc, command)
+        # framing-single's measure is not positive: no Hilbert dilation
+        assert [r.paper_item for r in report.checks if not r.passed] in (
+            [], ["hilbert.applicability"])
+        assert _timeless(report) == expected
 
 
 def test_covariance_defect_spread_over_atoms_fails(monkeypatch):

@@ -7,9 +7,9 @@ Per atom w the values live in the column space of phi({w}), so M_phi
 decomposes into blocks and its dimension is the sum of the atom ranks.
 
 The minimal dilation norm is the max over all 2^m measurable sets of the
-set-value norm, so the construction is capped (default 16 atoms). No
-report check evaluates it: the laws that read it, dilation(h) and
-minimality, are certified from the built operators in polynomial time.
+set-value norm. No report check evaluates it: the laws that read it,
+dilation(h) and minimality, are certified from the built operators in
+polynomial time.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .algebra import FiniteGroup, MeasurableSpace, Multiplier
-from .errors import (ClosureViolation, EnumerationCapExceeded, InvalidInput,
-                     NotIdempotent, NotInjective, SemigroupNotSupported)
+from .errors import (ClosureViolation, InvalidInput, NotIdempotent,
+                     NotInjective, SemigroupNotSupported)
 from .imprimitivity import ImprimitivitySystem
-from .linalg import (ELEMENT_BOUND_NOTE, ENUMERATION_CAP, ISOMETRY_RTOL,
-                     SET_BOUND_NOTE, NormTag, NormedSpace, Tolerance,
-                     block_indicators, distortion, invariance_defect, max_abs,
-                     max_subset_norms, norm_bound, numeric_rank,
-                     orthonormal_range, set_bound)
+from .linalg import (ELEMENT_BOUND_NOTE, ISOMETRY_RTOL, SET_BOUND_NOTE,
+                     NormTag, NormedSpace, Tolerance, block_indicators,
+                     distortion, invariance_defect, max_abs, max_subset_norms,
+                     norm_bound, numeric_rank, orthonormal_range, set_bound)
 from .linalg import row_norms  # noqa: F401  (perfbench traces this binding)
 from .linalg import subset_sums  # noqa: F401  (perfbench traces this binding)
 from .ovm import Ovm
@@ -46,14 +45,11 @@ class DilationSpaceAlpha:
     blocks: Tuple[np.ndarray, ...]
     offsets: Tuple[int, ...]
     dim: int
-    cap: int
 
     @classmethod
-    def build(cls, ovm: Ovm, tol: Optional[Tolerance] = None,
-              cap: int = ENUMERATION_CAP) -> "DilationSpaceAlpha":
+    def build(cls, ovm: Ovm,
+              tol: Optional[Tolerance] = None) -> "DilationSpaceAlpha":
         tol = tol or Tolerance()
-        if ovm.space.atoms > cap:
-            raise EnumerationCapExceeded(ovm.space.atoms, cap)
         blocks = []
         offsets = [0]
         for w in range(ovm.space.atoms):
@@ -62,7 +58,7 @@ class DilationSpaceAlpha:
             blocks.append(b)
             offsets.append(offsets[-1] + b.shape[1])
         return cls(ovm=ovm, blocks=tuple(blocks), offsets=tuple(offsets),
-                   dim=offsets[-1], cap=cap)
+                   dim=offsets[-1])
 
     def block(self, w: int, coords: np.ndarray) -> np.ndarray:
         return coords[..., self.offsets[w]:self.offsets[w + 1]]
@@ -119,8 +115,7 @@ class DilationSystem:
 
 
 def build_minimal_dilation(system: ImprimitivitySystem,
-                           tol: Optional[Tolerance] = None,
-                           cap: int = ENUMERATION_CAP) -> DilationSystem:
+                           tol: Optional[Tolerance] = None) -> DilationSystem:
     """Construct the minimal dilation system of an imprimitivity system.
 
     On atom-value coordinates the operators are: rho(E) zeroes the atoms
@@ -134,7 +129,7 @@ def build_minimal_dilation(system: ImprimitivitySystem,
     rep, ovm, action = system.rep, system.ovm, system.action
     if not rep.group.is_group:
         raise SemigroupNotSupported()
-    carrier = DilationSpaceAlpha.build(ovm, tol, cap)
+    carrier = DilationSpaceAlpha.build(ovm, tol)
     r = carrier.dim
     m = ovm.space.atoms
     n = rep.group.order
@@ -336,9 +331,9 @@ def induced_norm_from_injective(ds: DilationSystem, system: ImprimitivitySystem,
 
     Injectivity is the factoring criterion: the generator-to-image map
     phi_{x,E} |-> rho(E) T x must kill every combination that vanishes in
-    M_phi, certified by a rank comparison. R maps M_phi coordinates into
-    the carrier of ``ds`` and is checked to intertwine all four structure
-    maps of the minimal system.
+    M_phi, certified by a rank comparison on each atom's generators. R maps
+    M_phi coordinates into the carrier of ``ds`` and is checked to
+    intertwine all four structure maps of the minimal system.
     """
     tol = tol or Tolerance()
     eps = tol.eps_residual
@@ -358,16 +353,22 @@ def induced_norm_from_injective(ds: DilationSystem, system: ImprimitivitySystem,
             gen_coords[row, lo:hi] = block[:, k]
             gen_images[row] = ds.rho_atoms[w] @ ds.T[:, k]
 
-    rank_gen = numeric_rank(gen_coords, tol)
-    rank_aug = numeric_rank(np.concatenate([gen_coords, gen_images], axis=1), tol)
-    if rank_aug > rank_gen:
+    # atom w's generators fill only carrier block w and span it, so a
+    # combination vanishes in M_phi atom by atom: atom w's generators with
+    # their images must keep rank r_w, at the carrier's per-atom threshold
+    rank = np.diff(carrier.offsets)
+    s = np.linalg.svd(np.concatenate([gen_coords, gen_images], axis=1)
+                      .reshape(m, d, -1), compute_uv=False)
+    grown = (s > tol.eps_rank * s[:, :1]).sum(axis=1) > rank
+    for w in np.flatnonzero(grown):
         # exhibit a vanishing combination with a nonzero image
-        _, svals, vh = np.linalg.svd(gen_coords.T, full_matrices=True)
-        smax = float(svals[0]) if svals.size else 0.0
-        null_rows = vh[rank_gen:] if smax > 0 else vh
-        for c in np.conj(null_rows):
-            if max_abs(c @ gen_images) > eps:
+        rows = slice(w * d, (w + 1) * d)
+        for c_w in np.conj(np.linalg.svd(gen_coords[rows].T)[2][rank[w]:]):
+            if max_abs(c_w @ gen_images[rows]) > eps:
+                c = np.zeros(m * d, dtype=np.complex128)
+                c[rows] = c_w
                 raise NotInjective(c)
+    if grown.any():
         raise NotInjective(None)
 
     r_t = np.linalg.lstsq(gen_coords, gen_images, rcond=None)[0]

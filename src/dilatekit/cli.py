@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 the input
-could not be parsed, validated, or sized (schema, parameters, caps, or
-running out of memory).
+could not be parsed or validated (schema, parameters, the 62-atom limit,
+or running out of memory).
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ def _emit(report, fmt: str, out):
         click.echo(text)
 
 
-def _run(command: str, scenario_file, out, fmt, eps, samples, cap):
+def _run(command: str, scenario_file, out, fmt, eps):
     try:
         sc = load_scenario(scenario_file)
-        report = run_pipeline(sc, command, eps=eps, samples=samples, cap=cap)
+        report = run_pipeline(sc, command, eps=eps)
     except INPUT_ERRORS as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
@@ -60,13 +60,8 @@ def _pipeline_command(name: str, doc: str):
                   default="text", show_default=True)
     @click.option("--eps", type=float, default=None,
                   help="Override the residual tolerance.")
-    @click.option("--samples", type=int, default=None,
-                  help="Accepted and validated; no check samples, so it "
-                       "changes no report.")
-    @click.option("--cap", type=int, default=None,
-                  help="Override the subset-enumeration cap.")
-    def cmd(scenario_file, out, fmt, eps, samples, cap):
-        _run(name, scenario_file, out, fmt, eps, samples, cap)
+    def cmd(scenario_file, out, fmt, eps):
+        _run(name, scenario_file, out, fmt, eps)
 
     return cmd
 

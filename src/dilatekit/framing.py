@@ -17,13 +17,12 @@ from typing import List, Optional
 import numpy as np
 
 from .algebra import cyclic_group, trivial_multiplier
-from .errors import (EnumerationCapExceeded, ShapeMismatch,
-                     SingularFrameOperator, ZeroWindow)
+from .errors import ShapeMismatch, SingularFrameOperator, ZeroWindow
 from .imprimitivity import ProjectiveRep, check_rep
-from .linalg import (ELEMENT_BOUND_NOTE, ENUMERATION_CAP, ISOMETRY_RTOL,
-                     NormedSpace, NormTag, Tolerance, cyclic_shifts,
-                     distortion, max_abs, max_subset_norms, require_finite,
-                     row_norms, shrink_bound, subset_sums, vec_norm)
+from .linalg import (ELEMENT_BOUND_NOTE, ISOMETRY_RTOL, NormedSpace, NormTag,
+                     Tolerance, cyclic_shifts, distortion, max_abs,
+                     max_subset_norms, require_finite, row_norms, shrink_bound,
+                     subset_sums, vec_norm)
 from .ovm import Ovm, framing_ovm, evaluate
 from .report import CheckRecord, check, flag
 
@@ -110,20 +109,16 @@ class DilatedBasis:
         return dp
 
 
-def build_dilated_basis(fs: FramingSystem,
-                        cap: int = ENUMERATION_CAP) -> DilatedBasis:
+def build_dilated_basis(fs: FramingSystem) -> DilatedBasis:
     """Construct Z, T, S and lambda in e_{g,j} coordinates.
 
     T(x) collects the analysis coefficients <x, theta*_{g^-1} x*_j>,
     S(e_{g,j}) = theta_g x_j, and lambda_h(e_{g,j}) = m(h,g) e_{hg,j}.
-    The Z-norm enumerates index subsets exactly, so n*J is capped.
     """
     _require_nonzero_windows(fs)
     theta = fs.theta
     n, big_j, d = theta.group.order, fs.window_count, theta.space.dim
     z_dim = n * big_j
-    if z_dim > cap:
-        raise EnumerationCapExceeded(z_dim, cap)
 
     synth = np.zeros((z_dim, d), dtype=np.complex128)
     analysis = np.zeros((z_dim, d), dtype=np.complex128)

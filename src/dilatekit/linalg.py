@@ -19,13 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import EnumerationCapExceeded, InvalidInput
 
 # Threshold of the isometry laws dilation(h) and basis(c), on the relative
 # change of a norm.
 ISOMETRY_RTOL = 1e-8
-# Default cap on the atoms (or basis indices) of a construction whose norm
-# is a max over all 2^m sets.
+# Largest m for which subset_sums allocates its 2^m rows. No report
+# enumerates sets; the evaluators and the test oracles do.
 ENUMERATION_CAP = 16
 # Working memory of one chunk of subset sums in max_subset_norms.
 SUBSET_CHUNK_BYTES = 8 << 20
@@ -354,9 +354,13 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     Row E of the result is sum(values[w] for each bit w of E), accumulated
     in ascending w so the arithmetic matches a naive ascending enumeration
     bit for bit. Built by doubling: the sets whose top bit is w are the
-    sets below 2^w with values[w] added last.
+    sets below 2^w with values[w] added last. Raises
+    :class:`EnumerationCapExceeded` above ``ENUMERATION_CAP`` rows, before
+    it allocates.
     """
     m = values.shape[0]
+    if m > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(m, ENUMERATION_CAP)
     out = np.zeros((1 << m,) + values.shape[1:], dtype=np.complex128)
     for w in range(m):
         half = 1 << w

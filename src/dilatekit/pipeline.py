@@ -18,21 +18,19 @@ from . import banach, hilbert
 from .algebra import (MeasurableSpace, check_action, check_group,
                       check_multiplier, check_semigroup, left_translation_action,
                       trivial_multiplier)
-from .errors import (DilationError, EnumerationCapExceeded, InvalidInput,
-                     InvalidParams, NoInverse, ParseError, SchemaError,
-                     ShapeError)
+from .errors import (DilationError, InvalidInput, InvalidParams, NoInverse,
+                     ParseError, SchemaError, ShapeError)
 from .framing import (FramingSystem, build_dilated_basis, verify_basis_dilation,
                       verify_framing)
 from .imprimitivity import ImprimitivitySystem, check_rep, check_system
-from .linalg import ENUMERATION_CAP, NormedSpace, Tolerance, numeric_rank
+from .linalg import NormedSpace, Tolerance, numeric_rank
 from .ovm import Ovm, bessel_bound
 from .report import CheckRecord, Report, check, failure, flag
 from .scenario import Scenario, scenario_digest
 
 COMMANDS = ("validate", "dilate-banach", "dilate-hilbert", "dilate-framing", "all")
 
-INPUT_ERRORS = (ParseError, SchemaError, ShapeError, InvalidParams, InvalidInput,
-                EnumerationCapExceeded)
+INPUT_ERRORS = (ParseError, SchemaError, ShapeError, InvalidParams, InvalidInput)
 
 
 @dataclass
@@ -104,11 +102,11 @@ def _system(mat: Materialized, tol: Tolerance
     return check_system(fs.theta, fs.measure, mat.action, tol)
 
 
-def _banach_stage(mat: Materialized, tol: Tolerance, cap: int
+def _banach_stage(mat: Materialized, tol: Tolerance
                   ) -> Tuple[banach.DilationSystem, List[CheckRecord]]:
     """Minimal dilation with the records of its verification."""
     system, records = _system(mat, tol)
-    ds = banach.build_minimal_dilation(system, tol, cap)
+    ds = banach.build_minimal_dilation(system, tol)
     expected = sum(numeric_rank(system.ovm.atoms[w], tol)
                    for w in range(system.ovm.space.atoms))
     records.append(flag("dim of the dilation space equals the atom-rank sum",
@@ -156,22 +154,18 @@ def _prop_chain_stage(mat: Materialized, hd: hilbert.HilbertDilation,
     return records
 
 
-def _framing_stage(mat: Materialized, tol: Tolerance,
-                   cap: int) -> List[CheckRecord]:
+def _framing_stage(mat: Materialized, tol: Tolerance) -> List[CheckRecord]:
     if mat.framing is None:
         raise SchemaError("framing", "dilate-framing needs a framing payload")
-    db = build_dilated_basis(mat.framing, cap)
+    db = build_dilated_basis(mat.framing)
     return mat.framing_checks + verify_basis_dilation(db, mat.framing, tol)
 
 
-def run_pipeline(sc: Scenario, command: str, *, eps: Optional[float] = None,
-                 samples: Optional[int] = None,
-                 cap: Optional[int] = None) -> Report:
+def run_pipeline(sc: Scenario, command: str, *,
+                 eps: Optional[float] = None) -> Report:
     """Run a pipeline command against a loaded scenario and report.
 
-    ``eps``/``samples``/``cap`` override the scenario tolerance block.
-    No check samples, so ``samples``, like the scenario's ``sample_count``
-    and ``seed``, is validated and changes no report.
+    ``eps`` overrides the scenario's residual tolerance.
     """
     if command not in COMMANDS:
         raise InvalidParams(f"unknown command {command!r}")
@@ -179,9 +173,6 @@ def run_pipeline(sc: Scenario, command: str, *, eps: Optional[float] = None,
     tol = sc.tolerance
     if eps is not None:
         tol = dataclasses.replace(tol, eps_residual=eps)
-    if samples is not None:
-        tol = dataclasses.replace(tol, sample_count=samples)
-    cap = cap if cap is not None else ENUMERATION_CAP
 
     report = Report(digest=scenario_digest(sc), command=command)
     checks: List[CheckRecord] = []
@@ -193,7 +184,7 @@ def run_pipeline(sc: Scenario, command: str, *, eps: Optional[float] = None,
         if command in ("validate", "all"):
             checks.extend(mat.records)
         if command in ("dilate-banach", "all"):
-            minimal, records = _banach_stage(mat, tol, cap)
+            minimal, records = _banach_stage(mat, tol)
             checks.extend(records)
         if command == "dilate-hilbert":
             checks.extend(_hilbert_stage(mat, tol)[1])
@@ -206,7 +197,7 @@ def run_pipeline(sc: Scenario, command: str, *, eps: Optional[float] = None,
                 checks.extend(_prop_chain_stage(mat, hd, minimal, checks, tol))
         if command in ("dilate-framing",) or (command == "all"
                                               and mat.framing is not None):
-            checks.extend(_framing_stage(mat, tol, cap))
+            checks.extend(_framing_stage(mat, tol))
     except INPUT_ERRORS:
         raise
     except DilationError as exc:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from dilatekit.algebra import MeasurableSpace
-from dilatekit.errors import EnumerationCapExceeded, ShapeMismatch
-from dilatekit.linalg import (ENUMERATION_CAP, NormedSpace, max_subset_norms,
-                              row_norms, subset_sums)
+from dilatekit.errors import ShapeMismatch
+from dilatekit.linalg import (NormedSpace, max_subset_norms, row_norms,
+                              subset_sums)
 from dilatekit.ovm import Ovm
 
 
@@ -54,15 +54,12 @@ def make_phi_x_E(ovm: Ovm, x, mask: int) -> VectorMeasure:
     return VectorMeasure(space=ovm.space, target=ovm.target, atom_values=values)
 
 
-def alpha_norm(mu: VectorMeasure, cap: int = ENUMERATION_CAP) -> float:
+def alpha_norm(mu: VectorMeasure) -> float:
     """Minimal dilation norm: max over all sets E of ||mu(E)||_X.
 
     Subset sums are accumulated in ascending atom order, so the result is
     bit-identical to a naive enumeration.
     """
-    m = mu.space.atoms
-    if m > cap:
-        raise EnumerationCapExceeded(m, cap)
     return float(max_subset_norms(mu.atom_values[:, None, :], mu.target.norm)[0])
 
 
@@ -70,7 +67,7 @@ def alpha_of_coords(carrier, coords) -> float:
     """alpha of the vector measure with carrier coordinates ``coords``."""
     mu = VectorMeasure(space=carrier.ovm.space, target=carrier.ovm.target,
                        atom_values=carrier.values_from_coords(coords))
-    return alpha_norm(mu, carrier.cap)
+    return alpha_norm(mu)
 
 
 def z_norm(db, coeffs) -> float:

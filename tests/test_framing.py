@@ -71,9 +71,13 @@ class TestBuildDilatedBasis:
         assert max_abs(db.S @ db.T - np.eye(1)) <= 1e-12
 
     def test_cap_enforced(self):
-        fs = cyclic_shift_framing(5, 2, NormTag.l2(), seed=0)
+        # Z = 18 is built; only the Z-norm, a max over 2^18 sets, refuses
+        db = build_dilated_basis(cyclic_shift_framing(9, 2, NormTag.l2(),
+                                                      seed=0))
+        assert db.z_dim == 18
+        assert max_abs(db.S @ db.T - np.eye(db.fs.theta.space.dim)) <= 1e-9
         with pytest.raises(EnumerationCapExceeded):
-            build_dilated_basis(fs, cap=8)
+            z_norm(db, np.ones(18))
 
 
 class TestVerifyBasisDilation:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilatekit import linalg
-from dilatekit.errors import InvalidInput
+from dilatekit.errors import EnumerationCapExceeded, InvalidInput
 from dilatekit.linalg import (NormTag, cyclic_shifts, distortion, dual_pair,
                               hermitian_eig, hermitian_inner, invariance_defect,
                               is_isometry, max_abs, max_subset_norms,
@@ -187,6 +187,15 @@ class TestSubsetSums:
                 if mask >> w & 1:
                     manual = manual + values[w]
             assert np.array_equal(sums[mask], manual)
+
+    @pytest.mark.parametrize("m", [17, 62])
+    def test_refuses_more_than_16_rows(self, m):
+        # the one 2^m guard: at m = 62 an allocation would fail first
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            subset_sums(np.zeros((m, 1), dtype=complex))
+        assert (exc.value.size, exc.value.cap) == (m, 16)
+        with pytest.raises(EnumerationCapExceeded):
+            max_subset_norms(np.ones((m, 1, 1), dtype=complex), L2)
 
     def test_max_abs_empty(self):
         assert max_abs(np.zeros((0, 2))) == 0.0

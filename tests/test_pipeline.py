@@ -4,6 +4,7 @@ input fails exactly the laws that read it."""
 
 import dataclasses
 import itertools
+import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -16,7 +17,7 @@ from dilatekit import (algebra, banach, framing, hilbert, imprimitivity, linalg,
 from dilatekit.linalg import max_abs
 from dilatekit.pipeline import run_pipeline
 from dilatekit.report import failure
-from dilatekit.scenario import gen_example, load_scenario
+from dilatekit.scenario import gen_example, load_scenario, scenario_from_dict
 
 GOLDEN = Path(__file__).resolve().parents[1] / "scenarios"
 MODULES = (algebra, banach, framing, hilbert, imprimitivity, linalg, ovm,
@@ -357,13 +358,70 @@ def test_fault_row_fails_exactly_its_codes(monkeypatch, code):
         assert math.isfinite(r.max_residual), r.paper_item
 
 
+Z3 = json.loads((GOLDEN / "z3_regular_bessel.json").read_text())
+
+# code -> (command, key path of one field of z3_regular_bessel.json, the
+# value it gets). Two codes have no row, because run_pipeline cannot fail
+# them:
+# - restriction.idempotent is raised only by banach.restrict_probability,
+#   which no pipeline stage calls.
+# - induced.injective: the only system the pipeline pulls back is the
+#   Hilbert adapter. Its image of atom w's generators is sqrt(lambda) on
+#   exactly the eigenvectors of phi({w}) that the alpha carrier keeps for w
+#   (the same relative rank threshold), and the check compares ranks atom
+#   by atom, so every combination that vanishes in M_phi maps to 0.
+INPUT_ROWS = {
+    # row 2 := (2 1 0): (1 1) 1 = 2 1 = 1 but 1 (1 1) = 1 2 = 0
+    "valid.group": ("all", ("group", "table", 2), [2, 1, 0]),
+    "valid.rep.unit": ("all", ("rep", 0, 0, 0), [2.0, 0.0]),
+    # element 2 sends atoms 1 and 2 both to atom 0
+    "valid.action": ("all", ("action", 2), [2, 0, 0]),
+    # W_1 := W_2: W_1 W_1 = W_2 W_2 is the old W_1, not W_2
+    "valid.rep.relation": ("all", ("rep", 1), Z3["rep"][2]),
+    # -phi is covariant and bounded but not positive
+    "hilbert.applicability": ("dilate-hilbert", ("ovm", "atoms"),
+                              [[[[-re, -im] for re, im in row] for row in atom]
+                               for atom in Z3["ovm"]["atoms"]]),
+}
+
+
+@pytest.mark.parametrize("code", INPUT_ROWS)
+def test_input_fault_fails_exactly_its_code(code):
+    command, path, value = INPUT_ROWS[code]
+    data = json.loads(json.dumps(Z3))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    report = run_pipeline(scenario_from_dict(data), command)
+    assert [r.paper_item for r in report.checks if not r.passed] == [code]
+
+
+def test_atoms_of_different_scales_pass_induced_injectivity():
+    # two orbits of the trivial group, atoms 1 and 1e-12: next to atom 0,
+    # eps_rank would drop atom 1's generator (1e-12) but keep its Hilbert
+    # image (1e-6), so only a rank per atom sees the adapter as injective
+    one = [[[1.0, 0.0]]]
+    sc = scenario_from_dict({
+        "schema_version": 1, "group": {"order": 1, "table": [[0]]},
+        "space": {"dim": 1, "norm": "l2"}, "multiplier": [[[1.0, 0.0]]],
+        "action": [[0, 1]], "rep": [one],
+        "ovm": {"atoms": [one, [[[1e-12, 0.0]]]]}})
+    report = run_pipeline(sc, "all")
+    assert report.passed
+    assert "induced(0)" in [r.paper_item for r in report.checks]
+
+
 GUARD_SCENARIOS = (
     [(path.name, lambda p=path: load_scenario(p))
      for path in sorted(GOLDEN.glob("*.json"))]
     + [(f"{kind}-{params}", lambda k=kind, p=params: gen_example(k, p, 1))
        for kind, params in (("bessel-cyclic", {"n": 16}),
                             ("positive-random", {"m": 16, "d": 4}),
-                            ("framing-single", {"n": 16}))])
+                            ("framing-single", {"n": 16}),
+                            ("bessel-cyclic", {"n": 24}),
+                            ("positive-random", {"m": 24, "d": 4}),
+                            ("p-frame-cyclic", {"n": 12, "r": 2}))])
 
 
 def _timeless(report) -> dict:
@@ -376,7 +434,8 @@ def _timeless(report) -> dict:
                          ids=[name for name, _ in GUARD_SCENARIOS])
 def test_reports_evaluate_no_norm_over_sets(monkeypatch, name, load):
     # every law that reads the alpha norm or the Z-norm is certified from
-    # the operators, up to the 16-atom cap, and no report draws a sample
+    # the operators, also past 16 atoms (or Z = 24 basis indices), where
+    # enumerating the 2^m sets is infeasible
     sc = load()
     default = {}
     for command in pipeline.COMMANDS:
@@ -384,8 +443,7 @@ def test_reports_evaluate_no_norm_over_sets(monkeypatch, name, load):
             default[command] = _timeless(run_pipeline(sc, command))
         except pipeline.INPUT_ERRORS:
             continue
-        assert default[command] == _timeless(
-            run_pipeline(sc, command, samples=17))
+    assert "all" in default
 
     def refuse(*args, **kwargs):
         raise AssertionError("a report evaluated a norm over sets")
@@ -398,7 +456,7 @@ def test_reports_evaluate_no_norm_over_sets(monkeypatch, name, load):
     monkeypatch.setattr(framing.DilatedBasis, "z_batch", refuse)
     for command, expected in default.items():
         report = run_pipeline(sc, command)
-        # framing-single's measure is not positive: no Hilbert dilation
+        # a framing's measure is not positive: no Hilbert dilation
         assert [r.paper_item for r in report.checks if not r.passed] in (
             [], ["hilbert.applicability"])
         assert _timeless(report) == expected
@@ -407,7 +465,7 @@ def test_reports_evaluate_no_norm_over_sets(monkeypatch, name, load):
 def test_covariance_defect_spread_over_atoms_fails(monkeypatch):
     # Every rho atom gains the same eps/10 covariance defect: no atom fails
     # (g) on its own, the full set's defect is 13 times as large. The bound
-    # of (d) over every pair of sets fails too; two sampled pairs read 0.4 eps
+    # of (d) over every pair of sets fails too
     sc = gen_example("bessel-cyclic", {"n": 13, "d": 2}, 1)
     eps = sc.tolerance.eps_residual
 
@@ -419,7 +477,7 @@ def test_covariance_defect_spread_over_atoms_fails(monkeypatch):
             ds, rho_atoms=ds.rho_atoms + (0.1 * eps / atom) * f)
 
     _wrap(monkeypatch, banach, "build_minimal_dilation", spread)
-    report = run_pipeline(sc, "dilate-banach", samples=2)
+    report = run_pipeline(sc, "dilate-banach")
     [record] = [r for r in report.checks if r.paper_item == "dilation(g)"]
     assert not record.passed
     assert record.max_residual == pytest.approx(1.3 * eps, rel=1e-6)

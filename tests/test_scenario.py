@@ -320,6 +320,46 @@ class TestCli:
         result = self.run("dilate-framing", str(GOLDEN / "z2_bessel.json"))
         assert result.exit_code == 2
 
+    def _gen_then_all(self, tmp_path, *gen_args):
+        out = tmp_path / "gen.json"
+        result = self.run("gen", *gen_args, "--seed", "1", "-o", str(out))
+        assert result.exit_code == 0, result.output
+        return self.run("all", str(out))
+
+    def test_all_past_16_basis_indices(self, tmp_path):
+        # 9 atoms and Z = 18: every stage is polynomial, nothing enumerates
+        result = self._gen_then_all(tmp_path, "--kind", "p-frame-cyclic",
+                                    "--n", "9", "--r", "2", "--p", "2")
+        assert result.exit_code == 0, result.output
+
+    def test_all_at_62_atoms(self, tmp_path):
+        result = self._gen_then_all(tmp_path, "--kind", "spectral-random",
+                                    "--n", "62", "--dim", "6")
+        assert result.exit_code == 0, result.output
+
+    def test_63_atoms_exit_2(self, tmp_path):
+        result = self.run("gen", "--kind", "bessel-cyclic", "--n", "63",
+                          "--seed", "1")
+        assert result.exit_code == 2
+        assert "atom count must be in 1..62" in result.output
+        # sets are int64 masks: a file with 63 atoms is refused the same way
+        one = [[[1.0 / 63, 0.0]]]
+        bad = tmp_path / "wide.json"
+        bad.write_text(json.dumps({
+            "schema_version": 1, "group": {"order": 1, "table": [[0]]},
+            "space": {"dim": 1, "norm": "l2"}, "multiplier": [[[1.0, 0.0]]],
+            "action": [list(range(63))], "rep": [[[[1.0, 0.0]]]],
+            "ovm": {"atoms": [one] * 63}}))
+        result = self.run("all", str(bad))
+        assert result.exit_code == 2
+        assert "atom count must be in 1..62" in result.output
+
+    @pytest.mark.parametrize("option", [["--cap", "16"], ["--samples", "5"]])
+    def test_retired_options_are_usage_errors(self, option):
+        result = self.run("all", str(GOLDEN / "z2_bessel.json"), *option)
+        assert result.exit_code == 2
+        assert "No such option" in result.output and option[0] in result.output
+
     def test_out_of_memory_exit_2(self, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.00 GiB")

@@ -13,13 +13,12 @@ from .banach import (DilationSpaceAlpha, DilationSystem, InducedDilationNorm,
 from .framing import (DilatedBasis, FramingSystem, build_dilated_basis,
                       cyclic_shift_framing, standard_basis_framing,
                       verify_basis_dilation, verify_framing)
-from .hilbert import (HilbertDilation, build_hilbert_dilation,
-                      hilbert_as_injective, verify_hilbert_dilation)
+from .hilbert import build_hilbert_dilation, verify_hilbert_dilation
 from .imprimitivity import (ImprimitivitySystem, ProjectiveRep, check_rep,
                             check_system)
 from .linalg import (NormTag, NormedSpace, Tolerance, dual_pair, hermitian_eig,
-                     hermitian_inner, is_isometry, numeric_rank, subset_sums,
-                     vec_norm)
+                     hermitian_inner, is_isometry, numeric_rank,
+                     product_defects, subset_sums, vec_norm)
 from .ovm import Ovm, OvmClass, bessel_ovm, classify, evaluate, framing_ovm
 from .pipeline import run_pipeline
 from .report import CheckRecord, Report

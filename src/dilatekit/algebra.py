@@ -275,13 +275,10 @@ def check_action(group: FiniteGroup, space: MeasurableSpace, point_map) -> Group
         raise ActionViolation("point map entries must lie in 0..m-1")
     if not np.array_equal(pm[group.identity], np.arange(m)):
         raise ActionViolation("identity does not act as the identity map")
-    # (s t) . w == s . (t . w)
+    # (s t) . w == s . (t . w); for a group this and the identity make
+    # every s act bijectively, with inverse map s^-1
     if not np.array_equal(pm[group.table], pm[:, pm]):
         raise ActionViolation("action is not compatible with the group operation")
-    if group.is_group:
-        for s in range(n):
-            if len(set(pm[s].tolist())) != m:
-                raise ActionViolation(f"element {s} does not act bijectively")
     return GroupAction(group=group, space=space, point_map=pm)
 
 

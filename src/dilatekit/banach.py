@@ -27,7 +27,8 @@ from .imprimitivity import ImprimitivitySystem
 from .linalg import (ELEMENT_BOUND_NOTE, ISOMETRY_RTOL, SET_BOUND_NOTE,
                      NormTag, NormedSpace, Tolerance, block_indicators,
                      distortion, invariance_defect, max_abs, max_subset_norms,
-                     norm_bound, numeric_rank, orthonormal_range, set_bound)
+                     norm_bound, numeric_rank, orthonormal_range,
+                     product_defects, set_bound)
 from .linalg import row_norms  # noqa: F401  (perfbench traces this binding)
 from .linalg import subset_sums  # noqa: F401  (perfbench traces this binding)
 from .ovm import Ovm
@@ -77,12 +78,6 @@ class DilationSpaceAlpha:
             out[..., w, :] = self.block(w, coords) @ b.T
         return out
 
-    def coords_from_values(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.complex128)
-        parts = [values[..., w, :] @ np.conj(b) for w, b in enumerate(self.blocks)]
-        return (np.concatenate(parts, axis=-1) if parts
-                else np.zeros(values.shape[:-2] + (0,), dtype=np.complex128))
-
     def alpha_batch(self, coords: np.ndarray) -> np.ndarray:
         """Alpha norms for a (N, r) batch of coordinate vectors."""
         values = self.values_from_coords(coords)          # (N, m, d)
@@ -95,8 +90,8 @@ class DilationSystem:
 
     ``rho_atoms`` holds rho({w}); values on larger sets are sums of atoms.
     ``carrier`` is the alpha coordinatisation that norms the minimal
-    system; adapters leave it None, for the Euclidean norm of their
-    coordinates.
+    system; the Hilbert dilation leaves it None, for the Euclidean norm of
+    its coordinates.
     """
 
     group: FiniteGroup
@@ -244,13 +239,8 @@ def verify_dilation(ds: DilationSystem, system: ImprimitivitySystem,
     records.append(check("rho(Omega) = I on the carrier", "dilation(e)",
                          max_abs(ds.rho(ds.space.full) - np.eye(ds.dim)), eps))
 
-    omega = ds.multiplier.omega
-    resid_f = 0.0
-    for s in rep.group.elements:
-        for t in rep.group.elements:
-            resid_f = max(resid_f, max_abs(
-                ds.v_ops[s] @ ds.v_ops[t]
-                - omega[s, t] * ds.v_ops[rep.group.mul(s, t)]))
+    resid_f = product_defects(ds.v_ops, ds.multiplier.omega,
+                              rep.group.table).max()
     records.append(check("V_s V_t = omega(s,t) V_st", "dilation(f)", resid_f, eps))
 
     # atom w's defect is V_s rho({w}) - rho({s.w}) V_s
@@ -400,7 +390,7 @@ def minimality_bound(induced: InducedDilationNorm,
     rho_t), d(mu) = ||R mu||_2 and K = ||Q_t|| ||sum_w |rho_t,w| ||, a
     bound on ||Q_t rho_t(E)|| for every set E: taking entry moduli does not
     lower a spectral norm, and |rho_t(E)| <= sum_w |rho_t,w| entrywise. On
-    the Hilbert adapter the rho_t atoms are exact 0/1 blocks summing to I,
+    the Hilbert dilation the rho_t atoms are exact 0/1 blocks summing to I,
     and K = ||Q_t|| = ||V||.
 
     The residual bounds (alpha(mu) - K d(mu)) / alpha(mu) on every mu. With

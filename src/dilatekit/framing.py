@@ -21,8 +21,8 @@ from .errors import ShapeMismatch, SingularFrameOperator, ZeroWindow
 from .imprimitivity import ProjectiveRep, check_rep
 from .linalg import (ELEMENT_BOUND_NOTE, ISOMETRY_RTOL, NormedSpace, NormTag,
                      Tolerance, cyclic_shifts, distortion, max_abs,
-                     max_subset_norms, require_finite, row_norms, shrink_bound,
-                     subset_sums, vec_norm)
+                     max_subset_norms, product_defects, require_finite,
+                     row_norms, shrink_bound, subset_sums, vec_norm)
 from .ovm import Ovm, framing_ovm, evaluate
 from .report import CheckRecord, check, flag
 
@@ -184,9 +184,7 @@ def verify_basis_dilation(db: DilatedBasis, fs: FramingSystem,
     records.append(check("reconstruction S T = I on X", "basis(a)",
                          max_abs(db.S @ db.T - np.eye(d)), eps))
 
-    resid_b = max(max_abs(db.lambdas[h] @ db.lambdas[k]
-                          - omega[h, k] * db.lambdas[group.mul(h, k)])
-                  for h in group.elements for k in group.elements)
+    resid_b = product_defects(db.lambdas, omega, group.table).max()
     records.append(check("lambda_h lambda_k = m(h,k) lambda_hk", "basis(b)",
                          resid_b, eps))
 

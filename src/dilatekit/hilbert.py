@@ -6,52 +6,36 @@ vector measures supported on atom w is carried by phi({w}), so factoring
 each atom as U diag(lam) U* and keeping the eigenpairs above the rank
 threshold gives isometric class coordinates lam^(1/2) U* x. The dilated
 space K is the direct sum of those blocks; the lifted unitaries permute
-blocks along the group action.
+blocks along the group action. The result is a probability spectral
+dilation system like the minimal one, on a Euclidean carrier: a
+:class:`~dilatekit.banach.DilationSystem` with v_ops the lifted unitaries,
+rho_atoms the block projections pi({w}), T = V and Q = V*.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from .errors import (BlockRankMismatch, NonUnitaryRep, NotPositive,
-                     SemigroupNotSupported)
+from .banach import DilationSystem
+from .errors import (BlockRankMismatch, NonHilbertNorm, NonUnitaryRep,
+                     NotPositive, SemigroupNotSupported)
 from .imprimitivity import ImprimitivitySystem
 from .linalg import (SET_BOUND_NOTE, Tolerance, block_indicators,
-                     hermitian_eig, is_isometry, max_abs, set_bound)
+                     hermitian_eig, is_isometry, max_abs, product_defects,
+                     set_bound)
 from .linalg import subset_sums  # noqa: F401  (perfbench traces this binding)
 from .ovm import bessel_bound
 from .report import CheckRecord, check
 
 
-@dataclass(frozen=True, eq=False)
-class HilbertDilation:
-    system: ImprimitivitySystem
-    K_dim: int
-    block_vectors: Tuple[np.ndarray, ...]  # kept eigenvectors per atom (d, r_w)
-    block_values: Tuple[np.ndarray, ...]   # kept eigenvalues per atom (r_w,)
-    offsets: Tuple[int, ...]
-    pi_atoms: np.ndarray                   # (m, K, K) block projections pi({w})
-    V: np.ndarray                          # (K, d)
-    u_tilde: np.ndarray                    # (n, K, K)
-    extension: bool                        # nontrivial multiplier accepted
-
-    def pi(self, mask: int) -> np.ndarray:
-        return self.system.ovm.space.set_sum(self.pi_atoms, mask)
-
-    def coords_of(self, x, w: int) -> np.ndarray:
-        """Class coordinates of the measure phi_{x,{w}} in block w."""
-        xv = np.asarray(x, dtype=np.complex128)
-        return np.sqrt(self.block_values[w]) * (self.block_vectors[w].conj().T @ xv)
-
-
 def build_hilbert_dilation(system: ImprimitivitySystem,
-                           tol: Optional[Tolerance] = None) -> HilbertDilation:
+                           tol: Optional[Tolerance] = None) -> DilationSystem:
     """Dilate a positive system on l2 to a projection-valued one.
 
-    Requires Hermitian PSD atoms and a unitary representation of a group.
+    Requires the Euclidean norm on X, Hermitian PSD atoms and a unitary
+    representation of a group.
     The lifted operator for g maps block w to block g.w by
     lam'^(1/2) U'* U_g U lam^(-1/2) on kept eigenspaces; a rank mismatch
     along an orbit certifies covariance failure and is reported as such.
@@ -63,7 +47,7 @@ def build_hilbert_dilation(system: ImprimitivitySystem,
     if not rep.group.is_group:
         raise SemigroupNotSupported()
     if rep.space.norm.kind != "l2":
-        raise NonUnitaryRep(0, float("inf"))
+        raise NonHilbertNorm("the Hilbert dilation requires the l2 norm on X")
     for s in rep.group.elements:
         chk = is_isometry(rep.matrices[s], rep.space.norm, tol)
         if not chk.ok:
@@ -102,78 +86,58 @@ def build_hilbert_dilation(system: ImprimitivitySystem,
                    @ ug @ vectors[w]) / np.sqrt(values[w])[None, :]
             u_tilde[g, offsets[w2]:offsets[w2 + 1], offsets[w]:offsets[w + 1]] = blk
 
-    extension = max_abs(rep.multiplier.omega - 1.0) > tol.eps_residual
-    return HilbertDilation(system=system, K_dim=k_dim,
-                           block_vectors=tuple(vectors),
-                           block_values=tuple(values),
-                           offsets=tuple(offsets),
-                           pi_atoms=block_indicators(offsets), V=v_map,
-                           u_tilde=u_tilde,
-                           extension=extension)
+    return DilationSystem(group=rep.group, multiplier=rep.multiplier,
+                          space=ovm.space, target=ovm.target, dim=k_dim,
+                          v_ops=u_tilde, rho_atoms=block_indicators(offsets),
+                          Q=v_map.conj().T, T=v_map)
 
 
-def verify_hilbert_dilation(hd: HilbertDilation, system: ImprimitivitySystem,
+def verify_hilbert_dilation(hd: DilationSystem, system: ImprimitivitySystem,
                             tol: Optional[Tolerance] = None) -> List[CheckRecord]:
-    """The seven residual checks of the projection-valued dilation; (1)
-    and (5) add up over atoms, so :func:`set_bound` certifies every set."""
+    """The seven residual checks of the projection-valued dilation ``hd``
+    (U~ = v_ops, pi = rho_atoms, V = T); (1) and (5) add up over atoms, so
+    :func:`set_bound` certifies every set. The product rule (3) is twisted
+    by the system's multiplier when that is nontrivial (an extension), and
+    untwisted otherwise."""
     tol = tol or Tolerance()
     eps = tol.eps_residual
     rep, ovm, action = system.rep, system.ovm, system.action
+    u_tilde, pi_atoms, v_map = hd.v_ops, hd.rho_atoms, hd.T
     records = []
 
-    resid_1 = set_bound(hd.V.conj().T @ hd.pi_atoms @ hd.V - ovm.atoms)
+    resid_1 = set_bound(hd.Q @ pi_atoms @ v_map - ovm.atoms)
     records.append(check("reconstruction phi(E) = V* pi(E) V", "hilbert(1)",
                          resid_1, eps, notes=SET_BOUND_NOTE))
 
-    resid_2 = max(max_abs(hd.u_tilde[g].conj().T @ hd.u_tilde[g] - np.eye(hd.K_dim))
+    resid_2 = max(max_abs(u_tilde[g].conj().T @ u_tilde[g] - np.eye(hd.dim))
                   for g in rep.group.elements)
     records.append(check("lifted operators unitary", "hilbert(2)", resid_2, eps))
 
     omega = rep.multiplier.omega
-    resid_3 = 0.0
-    for g in rep.group.elements:
-        for h in rep.group.elements:
-            factor = omega[g, h] if hd.extension else 1.0
-            resid_3 = max(resid_3, max_abs(
-                hd.u_tilde[g] @ hd.u_tilde[h]
-                - factor * hd.u_tilde[rep.group.mul(g, h)]))
+    extension = max_abs(omega - 1.0) > eps
+    resid_3 = product_defects(u_tilde, omega if extension
+                              else np.ones(omega.shape), rep.group.table).max()
     records.append(check("lifted representation product rule", "hilbert(3)",
                          resid_3, eps,
                          notes="extension: twisted by the multiplier"
-                         if hd.extension else ""))
+                         if extension else ""))
 
-    resid_4 = max(max_abs(hd.u_tilde[g] @ hd.V - hd.V @ rep.matrices[g])
+    resid_4 = max(max_abs(u_tilde[g] @ v_map - v_map @ rep.matrices[g])
                   for g in rep.group.elements)
     records.append(check("intertwining U~_g V = V U_g", "hilbert(4)", resid_4, eps))
 
-    resid_5 = max(set_bound(hd.u_tilde[g] @ hd.pi_atoms @ hd.u_tilde[g].conj().T
-                            - hd.pi_atoms[action.point_map[g]])
+    resid_5 = max(set_bound(u_tilde[g] @ pi_atoms @ u_tilde[g].conj().T
+                            - pi_atoms[action.point_map[g]])
                   for g in rep.group.elements)
     records.append(check("covariance U~_g pi(E) U~_g* = pi(gE)", "hilbert(5)",
                          resid_5, eps, notes=SET_BOUND_NOTE))
 
     records.append(check("pi(Omega) = I on the dilated space", "hilbert(6)",
-                         max_abs(hd.pi(ovm.space.full) - np.eye(hd.K_dim)), eps))
+                         max_abs(hd.rho(hd.space.full) - np.eye(hd.dim)), eps))
 
-    v_norm = float(np.linalg.svd(hd.V, compute_uv=False)[0]) if hd.K_dim else 0.0
+    v_norm = float(np.linalg.svd(v_map, compute_uv=False)[0]) if hd.dim else 0.0
     expected = np.sqrt(bessel_bound(ovm))
     resid_7 = abs(v_norm - expected) / (1.0 + expected)
     records.append(check("||V|| = ||phi(Omega)||^(1/2)", "hilbert(7)", resid_7, eps,
                          notes=f"||V||={v_norm:.12g}"))
     return records
-
-
-def hilbert_as_injective(hd: HilbertDilation):
-    """Wrap the dilation as an injective dilation system with the Euclidean
-    carrier norm (no alpha carrier), consumable by the induced-norm and
-    minimality machinery. Injectivity holds by construction: block
-    coordinates are faithful on the span of the generating measures."""
-    from .banach import DilationSystem  # local import avoids a cycle
-
-    system = hd.system
-    return DilationSystem(
-        group=system.rep.group, multiplier=system.rep.multiplier,
-        space=system.ovm.space, target=system.ovm.target, dim=hd.K_dim,
-        v_ops=hd.u_tilde, rho_atoms=hd.pi_atoms,
-        Q=hd.V.conj().T, T=hd.V,
-    )

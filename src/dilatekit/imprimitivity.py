@@ -17,7 +17,8 @@ import numpy as np
 from .algebra import FiniteGroup, GroupAction, Multiplier, same_group
 from .errors import (CovarianceViolation, MultiplierRelationViolation,
                      NotIsometry, ShapeMismatch, UnitViolation)
-from .linalg import NormedSpace, Tolerance, is_isometry, max_abs, require_finite
+from .linalg import (NormedSpace, Tolerance, is_isometry, max_abs,
+                     product_defects, require_finite)
 from .ovm import Ovm, OvmClass, classify
 from .report import CheckRecord, check
 
@@ -55,14 +56,12 @@ def check_rep(group: FiniteGroup, multiplier: Multiplier, space: NormedSpace,
     if unit_resid > eps:
         raise UnitViolation(unit_resid)
 
-    relation_resid = 0.0
-    for s in group.elements:
-        for t in group.elements:
-            r = max_abs(mats[s] @ mats[t]
-                        - multiplier.omega[s, t] * mats[group.mul(s, t)])
-            if r > eps:
-                raise MultiplierRelationViolation(s, t, r)
-            relation_resid = max(relation_resid, r)
+    defects = product_defects(mats, multiplier.omega, group.table)
+    bad = np.argwhere(defects > eps)  # row-major: the first (s, t) pair
+    if bad.size:
+        s, t = (int(i) for i in bad[0])
+        raise MultiplierRelationViolation(s, t, float(defects[s, t]))
+    relation_resid = float(defects.max())
 
     isometry_resid = 0.0
     for s in group.elements:
@@ -136,14 +135,3 @@ def check_system(rep: ProjectiveRep, ovm: Ovm, action: GroupAction,
     ]
     return system, records
 
-
-def symmetric_inverse_residual(rep: ProjectiveRep) -> float:
-    """For symmetric multipliers W_{s^-1} must invert W_s; max residual."""
-    if not rep.group.is_group:
-        return float("inf")
-    d = rep.space.dim
-    worst = 0.0
-    for s in rep.group.elements:
-        r = max_abs(rep.matrices[s] @ rep.matrices[rep.group.inv(s)] - np.eye(d))
-        worst = max(worst, r)
-    return worst

@@ -381,6 +381,19 @@ def set_bound(defects) -> float:
     return max_abs(total)
 
 
+def product_defects(ops: np.ndarray, omega, table) -> np.ndarray:
+    """The (n, n) defects max |ops[s] ops[t] - omega[s, t] ops[table[s, t]]|
+    of the projective product rule, one stacked product per s; each entry
+    equals the pairwise computation bit for bit, and 0 on an empty stack."""
+    n = ops.shape[0]
+    out = np.zeros((n, n))
+    if ops.size:
+        for s in range(n):
+            diff = ops[s] @ ops - omega[s][:, None, None] * ops[table[s]]
+            out[s] = np.abs(diff).max(axis=(1, 2))
+    return out
+
+
 def max_subset_norms(values: np.ndarray, tag: NormTag) -> np.ndarray:
     """For each sample n, the largest norm over all 2^m subset sums.
 

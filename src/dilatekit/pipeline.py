@@ -117,31 +117,31 @@ def _banach_stage(mat: Materialized, tol: Tolerance
 
 
 def _hilbert_stage(mat: Materialized, tol: Tolerance
-                   ) -> Tuple[hilbert.HilbertDilation, List[CheckRecord]]:
+                   ) -> Tuple[banach.DilationSystem, List[CheckRecord]]:
     system = _system(mat, tol)[0]
     hd = hilbert.build_hilbert_dilation(system, tol)
     return hd, hilbert.verify_hilbert_dilation(hd, system, tol)
 
 
-def _prop_chain_stage(mat: Materialized, hd: hilbert.HilbertDilation,
+def _prop_chain_stage(mat: Materialized, hd: banach.DilationSystem,
                       minimal: banach.DilationSystem,
                       upstream: List[CheckRecord],
                       tol: Tolerance) -> List[CheckRecord]:
-    """Induced-norm chain: Hilbert dilation -> pulled-back dilation norm ->
-    minimality inequality, on the dilations already built. The adapter's
-    pi(Omega) is a sum of 0/1 block indicators, I exactly, so restricting
-    to its range would change nothing. Each record names the ``upstream``
+    """Induced-norm chain on the dilations already built: the Hilbert
+    dilation ``hd`` as a probability dilation system, the dilation norm it
+    pulls back onto the minimal one, and the minimality inequality. Its
+    pi(Omega) is a sum of 0/1 block indicators, I exactly, so restricting to
+    its range would change nothing. Each record names the ``upstream``
     ``dilation(*)`` and ``hilbert(*)`` laws that failed, if any."""
     system = mat.system
     records = []
-    adapter = hilbert.hilbert_as_injective(hd)
-    sub = banach.verify_dilation(adapter, system, tol)
+    sub = banach.verify_dilation(hd, system, tol)
     worst = max((r.max_residual for r in sub), default=0.0)
     records.append(check("restriction is a probability dilation system",
                          "restriction(probability)", worst, tol.eps_residual,
                          notes=f"{len(sub)} sub-checks"))
     records.append(banach.check_q_range_invariance(minimal, system, tol))
-    induced = banach.induced_norm_from_injective(adapter, system, tol,
+    induced = banach.induced_norm_from_injective(hd, system, tol,
                                                  minimal=minimal)
     records.extend(induced.checks)
     records.extend(banach.minimality_bound(induced, tol)[1])

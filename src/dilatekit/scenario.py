@@ -53,25 +53,6 @@ class Scenario:
             return self.ovm_atoms.shape[0]
         return self.group_table.shape[0]
 
-    def same_as(self, other: "Scenario") -> bool:
-        def eq(a, b):
-            if a is None or b is None:
-                return (a is None) == (b is None)
-            return np.array_equal(np.asarray(a), np.asarray(b))
-
-        return (self.schema_version == other.schema_version
-                and self.tolerance == other.tolerance
-                and eq(self.group_table, other.group_table)
-                and self.space_dim == other.space_dim
-                and self.space_norm == other.space_norm
-                and eq(self.rep_matrices, other.rep_matrices)
-                and eq(self.multiplier, other.multiplier)
-                and eq(self.action_table, other.action_table)
-                and eq(self.ovm_atoms, other.ovm_atoms)
-                and eq(self.framing_windows, other.framing_windows)
-                and eq(self.framing_duals, other.framing_duals)
-                and self.hints == other.hints)
-
 
 # -- encoding -------------------------------------------------------------------
 

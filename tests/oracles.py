@@ -1,11 +1,13 @@
-"""Test oracles: the norms and sampled checks that the report path no
-longer evaluates.
+"""Test oracles: the norms, sampled checks and plain loops that the
+report path no longer evaluates.
 
 The minimal dilation norm alpha on one vector measure, and the sampled
 versions of dilation(h), minimality, basis(c), basis(g) and basis(i) as
 the verifiers computed them before each became a certified bound. Every
 sampled residual here must stay below the certified one, up to the
-rounding of the sampled estimate itself.
+rounding of the sampled estimate itself. The pairwise product rule is the
+oracle of :func:`linalg.product_defects`; the other helpers serve tests
+only.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import numpy as np
 
 from dilatekit.algebra import MeasurableSpace
 from dilatekit.errors import ShapeMismatch
-from dilatekit.linalg import (NormedSpace, max_subset_norms, row_norms,
-                              subset_sums)
+from dilatekit.linalg import (NormedSpace, max_abs, max_subset_norms,
+                              row_norms, subset_sums)
 from dilatekit.ovm import Ovm
 
 
@@ -80,7 +82,7 @@ def gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def carrier_norms(ds, coords: np.ndarray) -> np.ndarray:
-    """The carrier norm of each row: alpha, or Euclidean for adapters."""
+    """The carrier norm of each row: alpha, or Euclidean without a carrier."""
     if ds.carrier is not None:
         return ds.carrier.alpha_batch(coords)
     return np.linalg.norm(coords, axis=1)
@@ -156,3 +158,53 @@ def sampled_shrinkage(db, samples: int = 256, seed: int = 0) -> float:
     x_norms = row_norms(x, db.fs.theta.space.norm)
     ratio = db.z_batch(x @ db.T.T) / x_norms
     return max(0.0, 1.0 - float(np.min(ratio)))
+
+
+def pairwise_product_defects(ops, omega, mul) -> np.ndarray:
+    """max |ops[s] ops[t] - omega[s, t] ops[mul(s, t)]| for every pair,
+    one product at a time."""
+    n = len(ops)
+    out = np.zeros((n, n))
+    for s in range(n):
+        for t in range(n):
+            out[s, t] = max_abs(ops[s] @ ops[t] - omega[s, t] * ops[mul(s, t)])
+    return out
+
+
+def symmetric_inverse_residual(rep) -> float:
+    """For symmetric multipliers W_{s^-1} must invert W_s; max residual."""
+    if not rep.group.is_group:
+        return float("inf")
+    d = rep.space.dim
+    return max(max_abs(rep.matrices[s] @ rep.matrices[rep.group.inv(s)]
+                       - np.eye(d)) for s in rep.group.elements)
+
+
+def coords_from_values(carrier, values: np.ndarray) -> np.ndarray:
+    """(..., m, d) atom values to (..., r) coordinates of ``carrier``, the
+    inverse of ``carrier.values_from_coords`` on its range."""
+    values = np.asarray(values, dtype=np.complex128)
+    parts = [values[..., w, :] @ np.conj(b) for w, b in enumerate(carrier.blocks)]
+    return (np.concatenate(parts, axis=-1) if parts
+            else np.zeros(values.shape[:-2] + (0,), dtype=np.complex128))
+
+
+def same_scenario(a, b) -> bool:
+    """Scenarios ``a`` and ``b`` hold equal fields, arrays compared exactly."""
+    def eq(x, y):
+        if x is None or y is None:
+            return (x is None) == (y is None)
+        return np.array_equal(np.asarray(x), np.asarray(y))
+
+    return (a.schema_version == b.schema_version
+            and a.tolerance == b.tolerance
+            and eq(a.group_table, b.group_table)
+            and a.space_dim == b.space_dim
+            and a.space_norm == b.space_norm
+            and eq(a.rep_matrices, b.rep_matrices)
+            and eq(a.multiplier, b.multiplier)
+            and eq(a.action_table, b.action_table)
+            and eq(a.ovm_atoms, b.ovm_atoms)
+            and eq(a.framing_windows, b.framing_windows)
+            and eq(a.framing_duals, b.framing_duals)
+            and a.hints == b.hints)

@@ -19,8 +19,7 @@ from dilatekit.banach import (build_minimal_dilation,
 from dilatekit.cli import main as cli_main
 from dilatekit.framing import (build_dilated_basis, cyclic_shift_framing,
                                verify_basis_dilation, verify_framing)
-from dilatekit.hilbert import (build_hilbert_dilation, hilbert_as_injective,
-                               verify_hilbert_dilation)
+from dilatekit.hilbert import build_hilbert_dilation, verify_hilbert_dilation
 from dilatekit.imprimitivity import check_system
 from dilatekit.linalg import NormTag, NormedSpace, Tolerance, numeric_rank
 from dilatekit.ovm import classify, evaluate, framing_ovm
@@ -145,8 +144,8 @@ def test_criterion_4_hilbert_dilation_suite():
     assert len(systems) == 50
     for i, system in enumerate(systems):
         hd = build_hilbert_dilation(system, TOL)
-        assert hd.K_dim == sum(numeric_rank(system.ovm.atoms[w], TOL)
-                               for w in range(system.ovm.space.atoms)), i
+        assert hd.dim == sum(numeric_rank(system.ovm.atoms[w], TOL)
+                             for w in range(system.ovm.space.atoms)), i
         records = verify_hilbert_dilation(hd, system, TOL)
         assert len(records) == 7
         for r in records:
@@ -155,11 +154,11 @@ def test_criterion_4_hilbert_dilation_suite():
     from test_hilbert import trivial_group_system
     worked = trivial_group_system([[[0.5]], [[0.5]]])
     hd = build_hilbert_dilation(worked, TOL)
-    assert hd.K_dim == 2
+    assert hd.dim == 2
     for w in range(2):
-        value = (hd.V.conj().T @ hd.pi_atoms[w] @ hd.V)[0, 0]
+        value = (hd.Q @ hd.rho_atoms[w] @ hd.T)[0, 0]
         assert value == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(np.abs(hd.V), np.sqrt(0.5))
+    assert np.allclose(np.abs(hd.T), np.sqrt(0.5))
     announce(4, "projection-valued dilation on 50 positive systems", started)
 
 
@@ -167,7 +166,7 @@ def test_criterion_5_induced_norm_and_minimality():
     started = time.time()
     for i, system in enumerate(_fifty_positive_systems()):
         hd = build_hilbert_dilation(system, TOL)
-        restricted = restrict_probability(hilbert_as_injective(hd), TOL)
+        restricted = restrict_probability(hd, TOL)
         induced = induced_norm_from_injective(restricted, system, TOL)
         for r in induced.checks:
             assert r.max_residual <= EPS, (i, r.paper_item, r.max_residual)

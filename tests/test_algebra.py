@@ -176,7 +176,8 @@ class TestActions:
         with pytest.raises(ActionViolation):
             check_action(g, space, [[1, 0], [0, 1]])  # identity must act as id
         with pytest.raises(ActionViolation):
-            check_action(g, space, [[0, 1], [0, 0]])  # not bijective
+            # not compatible: (1 1) . 1 = 1, but 1 . (1 . 1) = 0
+            check_action(g, space, [[0, 1], [0, 0]])
         with pytest.raises(ActionViolation):
             check_action(g, space, [[0, 1], [0, 2]])  # out of range
 

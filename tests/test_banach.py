@@ -15,8 +15,7 @@ from dilatekit.banach import (DilationSystem, build_minimal_dilation,
 from dilatekit.errors import (EnumerationCapExceeded, InvalidInput,
                               NotIdempotent, NotInjective,
                               SemigroupNotSupported)
-from dilatekit.hilbert import (build_hilbert_dilation, hilbert_as_injective,
-                               verify_hilbert_dilation)
+from dilatekit.hilbert import build_hilbert_dilation, verify_hilbert_dilation
 from dilatekit.imprimitivity import ImprimitivitySystem, check_rep, check_system
 from dilatekit.linalg import (NormTag, NormedSpace, Tolerance, max_abs,
                               subset_sums)
@@ -26,7 +25,8 @@ from dilatekit.scenario import gen_example, load_scenario
 from conftest import (general_system, positive_system, rng_for, shift_rep,
                       system_from_scenario)
 from oracles import (VectorMeasure, alpha_norm, alpha_of_coords,
-                     carrier_norms, gaussian, make_phi_x_E, sampled_minimality)
+                     carrier_norms, coords_from_values, gaussian, make_phi_x_E,
+                     sampled_minimality)
 
 TOL = Tolerance()
 GOLDEN = Path(__file__).resolve().parents[1] / "scenarios"
@@ -322,8 +322,7 @@ class TestInducedNorm:
     def test_hilbert_adapter_chain(self):
         system = positive_system(1)
         hd = build_hilbert_dilation(system, TOL)
-        adapter = hilbert_as_injective(hd)
-        restricted = restrict_probability(adapter, TOL)
+        restricted = restrict_probability(hd, TOL)
         records = verify_dilation(restricted, system, TOL)
         assert all(r.passed for r in records)
         induced = induced_norm_from_injective(restricted, system, TOL)
@@ -355,17 +354,16 @@ class TestMinimalityBound:
     def test_worked_example_ratio_one(self):
         system = scalar_half_half_system()
         hd = build_hilbert_dilation(system, TOL)
-        adapter = hilbert_as_injective(hd)
         minimal = build_minimal_dilation(system, TOL)
-        induced = induced_norm_from_injective(adapter, system, TOL,
+        induced = induced_norm_from_injective(hd, system, TOL,
                                               minimal=minimal)
         coords = minimal.T @ np.array([1.0 + 0j])
         assert alpha_of_coords(minimal.carrier, coords) == pytest.approx(
             1.0, abs=1e-12)
         assert np.linalg.norm(induced.R @ coords) == pytest.approx(1.0,
                                                                    abs=1e-12)
-        d_single = np.linalg.norm(induced.R @ minimal.carrier.coords_from_values(
-            np.array([[0.5], [0.0]])))
+        d_single = np.linalg.norm(induced.R @ coords_from_values(
+            minimal.carrier, np.array([[0.5], [0.0]])))
         assert d_single == pytest.approx(np.sqrt(0.5), abs=1e-12)
         k, records = minimality_bound(induced, TOL)
         assert all(r.passed for r in records)
@@ -375,8 +373,7 @@ class TestMinimalityBound:
         for seed in (0, 2):
             system = positive_system(seed)
             hd = build_hilbert_dilation(system, TOL)
-            induced = induced_norm_from_injective(hilbert_as_injective(hd),
-                                                  system, TOL)
+            induced = induced_norm_from_injective(hd, system, TOL)
             _, records = minimality_bound(induced, TOL)
             assert all(r.passed for r in records)
             assert sampled_minimality(induced, samples=300)["violations"] == 0
@@ -386,7 +383,7 @@ class TestMinimalityBound:
         system = system_from_scenario(
             load_scenario(GOLDEN / "z2_bessel.json"))
         hd = build_hilbert_dilation(system, TOL)
-        restricted = restrict_probability(hilbert_as_injective(hd), TOL)
+        restricted = restrict_probability(hd, TOL)
         induced = induced_norm_from_injective(restricted, system, TOL)
         _, [record] = minimality_bound(induced, TOL)
         assert record.passed
@@ -427,21 +424,21 @@ class TestSetLawsCertified:
         minimal = self._noisy(build_minimal_dilation(system, TOL),
                               "rho_atoms", rng)
         clean = build_hilbert_dilation(system, TOL)
-        hd = self._noisy(clean, "pi_atoms", rng)
-        target = restrict_probability(hilbert_as_injective(clean), TOL)
+        hd = self._noisy(clean, "rho_atoms", rng)
+        target = restrict_probability(clean, TOL)
         induced = induced_norm_from_injective(target, system, TOL,
                                               minimal=minimal)
         records = (verify_dilation(minimal, system, TOL)
                    + verify_hilbert_dilation(hd, system, TOL) + induced.checks)
         bound = {r.paper_item: r.max_residual for r in records}
 
-        v, rho, u, pi = minimal.v_ops, minimal.rho, hd.u_tilde, hd.pi
+        v, rho, u, pi = minimal.v_ops, minimal.rho, hd.v_ops, hd.rho
         scans = {
             "dilation(a)": [minimal.Q @ rho(e) @ minimal.T
                             - ovm.space.set_sum(ovm.atoms, e) for e in sets],
             "dilation(g)": [v[s] @ rho(e) - rho(act_on_set(action, s, e)) @ v[s]
                             for s in elements for e in sets],
-            "hilbert(1)": [hd.V.conj().T @ pi(e) @ hd.V
+            "hilbert(1)": [hd.Q @ pi(e) @ hd.T
                            - ovm.space.set_sum(ovm.atoms, e) for e in sets],
             "hilbert(5)": [u[s] @ pi(e) @ u[s].conj().T
                            - pi(act_on_set(action, s, e))

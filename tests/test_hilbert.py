@@ -5,9 +5,8 @@ import pytest
 
 from dilatekit.algebra import (MeasurableSpace, check_action, cyclic_group,
                                left_translation_action, trivial_multiplier)
-from dilatekit.errors import BlockRankMismatch, NonUnitaryRep, NotPositive
-from dilatekit.hilbert import (build_hilbert_dilation, hilbert_as_injective,
-                               verify_hilbert_dilation)
+from dilatekit.errors import BlockRankMismatch, NonHilbertNorm, NotPositive
+from dilatekit.hilbert import build_hilbert_dilation, verify_hilbert_dilation
 from dilatekit.imprimitivity import (ImprimitivitySystem, check_rep,
                                      check_system)
 from dilatekit.linalg import (NormTag, NormedSpace, Tolerance, hermitian_inner,
@@ -38,14 +37,14 @@ class TestWorkedExamples:
     def test_half_half_scalar(self):
         system = trivial_group_system([[[0.5]], [[0.5]]])
         hd = build_hilbert_dilation(system, TOL)
-        assert hd.K_dim == 2
-        assert np.allclose(np.abs(hd.V), np.sqrt(0.5) * np.ones((2, 1)))
+        assert hd.dim == 2
+        assert np.allclose(np.abs(hd.T), np.sqrt(0.5) * np.ones((2, 1)))
         for w in range(2):
-            val = (hd.V.conj().T @ hd.pi_atoms[w] @ hd.V)[0, 0]
+            val = (hd.Q @ hd.rho_atoms[w] @ hd.T)[0, 0]
             assert val == pytest.approx(0.5, abs=1e-12)
         records = verify_hilbert_dilation(hd, system, TOL)
         assert all(r.passed for r in records)
-        v_norm = float(np.linalg.svd(hd.V, compute_uv=False)[0])
+        v_norm = float(np.linalg.svd(hd.T, compute_uv=False)[0])
         assert v_norm == pytest.approx(1.0, abs=1e-12)
 
     def test_spectral_input_gives_unitary_v(self):
@@ -53,28 +52,28 @@ class TestWorkedExamples:
         measure = bessel_ovm(rep, [1.0, 0.0, 0.0])
         system, _ = check_system(rep, measure, left_translation_action(rep.group))
         hd = build_hilbert_dilation(system, TOL)
-        assert hd.K_dim == 3
-        assert max_abs(hd.V.conj().T @ hd.V - np.eye(3)) <= 1e-12
-        assert max_abs(hd.V @ hd.V.conj().T - np.eye(3)) <= 1e-12
+        assert hd.dim == 3
+        assert max_abs(hd.Q @ hd.T - np.eye(3)) <= 1e-12
+        assert max_abs(hd.T @ hd.Q - np.eye(3)) <= 1e-12
 
     def test_z2_orbit_blocks_swap(self):
         rep = shift_rep(2, NormTag.l2())
         measure = bessel_ovm(rep, [1.0, 0.0])
         system, _ = check_system(rep, measure, left_translation_action(rep.group))
         hd = build_hilbert_dilation(system, TOL)
-        u1 = hd.u_tilde[1]
+        u1 = hd.v_ops[1]
         # the lift must exchange the two one-dimensional blocks
         assert abs(u1[0, 0]) <= 1e-12 and abs(u1[1, 1]) <= 1e-12
         assert abs(abs(u1[0, 1]) - 1.0) <= 1e-12
-        assert max_abs(hd.u_tilde[1] @ hd.V - hd.V @ rep.matrices[1]) <= 1e-12
+        assert max_abs(hd.v_ops[1] @ hd.T - hd.T @ rep.matrices[1]) <= 1e-12
 
     def test_uniform_identity_atoms(self):
         m, d = 3, 2
         atoms = np.stack([np.eye(d) / m] * m).astype(complex)
         system = trivial_group_system(atoms)
         hd = build_hilbert_dilation(system, TOL)
-        assert hd.K_dim == m * d
-        assert max_abs(hd.V.conj().T @ hd.V - np.eye(d)) <= 1e-12
+        assert hd.dim == m * d
+        assert max_abs(hd.Q @ hd.T - np.eye(d)) <= 1e-12
 
 
 class TestErrors:
@@ -88,7 +87,7 @@ class TestErrors:
         from dilatekit.ovm import framing_ovm
         measure = framing_ovm(rep, [[1.0, 0.0]], [[1.0, 0.0]])
         system, _ = check_system(rep, measure, left_translation_action(rep.group))
-        with pytest.raises(NonUnitaryRep):
+        with pytest.raises(NonHilbertNorm):
             build_hilbert_dilation(system, TOL)
 
     def test_block_rank_mismatch_detected(self):
@@ -113,7 +112,9 @@ class TestProperties:
             x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             for w in range(system.ovm.space.atoms):
-                lhs = hermitian_inner(hd.coords_of(x, w), hd.coords_of(y, w))
+                # block w of T x holds the class coordinates of phi_{x,{w}}
+                lhs = hermitian_inner(hd.rho_atoms[w] @ hd.T @ x,
+                                      hd.rho_atoms[w] @ hd.T @ y)
                 rhs = hermitian_inner(system.ovm.atoms[w] @ x, y)
                 assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
@@ -121,22 +122,22 @@ class TestProperties:
         system = positive_system(0)
         hd = build_hilbert_dilation(system, TOL)
         m = system.ovm.space.atoms
-        total = np.zeros((hd.K_dim, hd.K_dim), dtype=complex)
+        total = np.zeros((hd.dim, hd.dim), dtype=complex)
         for w in range(m):
-            p = hd.pi_atoms[w]
+            p = hd.rho_atoms[w]
             assert max_abs(p @ p - p) == 0.0
             assert max_abs(p - p.conj().T) == 0.0
             for w2 in range(w + 1, m):
-                assert max_abs(p @ hd.pi_atoms[w2]) == 0.0
+                assert max_abs(p @ hd.rho_atoms[w2]) == 0.0
             total += p
-        assert max_abs(total - np.eye(hd.K_dim)) == 0.0
+        assert max_abs(total - np.eye(hd.dim)) == 0.0
 
     def test_k_dim_is_rank_sum(self):
         for seed in range(6):
             system = positive_system(seed)
             hd = build_hilbert_dilation(system, TOL)
-            assert hd.K_dim == sum(numeric_rank(system.ovm.atoms[w], TOL)
-                                   for w in range(system.ovm.space.atoms))
+            assert hd.dim == sum(numeric_rank(system.ovm.atoms[w], TOL)
+                                 for w in range(system.ovm.space.atoms))
 
     def test_verify_suite_on_random_positives(self):
         for seed in range(8):
@@ -151,17 +152,17 @@ class TestProperties:
         rep = phased_shift_rep(3, NormTag.l2(), rng)
         system = covariant_system(rep, left_translation_action(rep.group), rng,
                                   positive=True)
+        assert max_abs(rep.multiplier.omega - 1.0) > TOL.eps_residual
         hd = build_hilbert_dilation(system, TOL)
-        assert hd.extension
         records = verify_hilbert_dilation(hd, system, TOL)
         assert all(r.passed for r in records)
         product_rule = [r for r in records if r.paper_item == "hilbert(3)"][0]
         assert "extension" in product_rule.notes
 
     @pytest.mark.parametrize("field,index,failing", [
-        ("pi_atoms", 0, {"hilbert(1)", "hilbert(5)", "hilbert(6)"}),
-        ("V", ..., {"hilbert(1)", "hilbert(7)"}),
-        ("u_tilde", 1, {"hilbert(2)", "hilbert(3)", "hilbert(4)", "hilbert(5)"}),
+        ("rho_atoms", 0, {"hilbert(1)", "hilbert(5)", "hilbert(6)"}),
+        ("T", ..., {"hilbert(1)", "hilbert(7)"}),
+        ("v_ops", 1, {"hilbert(2)", "hilbert(3)", "hilbert(4)", "hilbert(5)"}),
     ])
     def test_corrupted_part_fails_its_checks(self, field, index, failing):
         system = positive_system(1)
@@ -176,7 +177,9 @@ class TestProperties:
         from dilatekit.banach import verify_dilation
         system = positive_system(2)
         hd = build_hilbert_dilation(system, TOL)
-        adapter = hilbert_as_injective(hd)
-        records = verify_dilation(adapter, system, TOL)
+        # a Euclidean carrier, and Q = V* exactly
+        assert hd.carrier is None
+        assert np.array_equal(hd.Q, hd.T.conj().T)
+        records = verify_dilation(hd, system, TOL)
         assert all(r.passed for r in records), \
             [(r.name, r.max_residual) for r in records if not r.passed]

@@ -5,12 +5,12 @@ from dilatekit.algebra import (act_on_set, cyclic_group,
                                left_translation_action, trivial_multiplier)
 from dilatekit.errors import (CovarianceViolation, MultiplierRelationViolation,
                               NotIsometry, ShapeMismatch, UnitViolation)
-from dilatekit.imprimitivity import (check_rep, check_system,
-                                     symmetric_inverse_residual)
+from dilatekit.imprimitivity import check_rep, check_system
 from dilatekit.linalg import NormTag, NormedSpace, Tolerance, max_abs
 from dilatekit.ovm import Ovm, bessel_ovm, evaluate, framing_ovm
 
 from conftest import general_system, phased_shift_rep, shift_rep
+from oracles import symmetric_inverse_residual
 
 TOL = Tolerance()
 

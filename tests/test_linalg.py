@@ -4,13 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilatekit import linalg
-from dilatekit.errors import EnumerationCapExceeded, InvalidInput
-from dilatekit.linalg import (NormTag, cyclic_shifts, distortion, dual_pair,
-                              hermitian_eig, hermitian_inner, invariance_defect,
-                              is_isometry, max_abs, max_subset_norms,
-                              norm_bound, numeric_rank, random_unitary,
-                              row_norms, set_bound, shrink_bound, subset_sums,
-                              vec_norm)
+from dilatekit.algebra import check_semigroup
+from dilatekit.errors import (EnumerationCapExceeded, InvalidInput,
+                              MultiplierRelationViolation)
+from dilatekit.imprimitivity import check_rep
+from dilatekit.linalg import (NormTag, NormedSpace, cyclic_shifts, distortion,
+                              dual_pair, hermitian_eig, hermitian_inner,
+                              invariance_defect, is_isometry, max_abs,
+                              max_subset_norms, norm_bound, numeric_rank,
+                              product_defects, random_unitary, row_norms,
+                              set_bound, shrink_bound, subset_sums, vec_norm)
+
+from conftest import phased_shift_rep
+from oracles import pairwise_product_defects
 
 L1, L2, LINF = NormTag.l1(), NormTag.l2(), NormTag.linf()
 ALL_TAGS = [L1, L2, LINF, NormTag.lp(3.0)]
@@ -311,3 +317,72 @@ class TestInvarianceDefect:
         line = np.eye(3, dtype=complex)[:, :1]
         shift = cyclic_shifts(3)[1]  # e_0 -> e_1 leaves span(e_0)
         assert invariance_defect(line, [np.eye(3), shift]) == 1.0
+
+
+def _unit_phases(rng, shape):
+    return np.exp(2j * np.pi * rng.random(shape))
+
+
+class TestProductDefects:
+    """The stacked kernel equals the pairwise loop of tests/oracles.py bit
+    for bit."""
+
+    @staticmethod
+    def _same_as_loop(ops, omega, table):
+        got = product_defects(ops, omega, table)
+        want = pairwise_product_defects(ops, omega, lambda s, t: table[s, t])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+        ops = _random_values(rng, (n, d, d))
+        table = rng.integers(0, n, size=(n, n))
+        self._same_as_loop(ops, _unit_phases(rng, (n, n)), table)
+        self._same_as_loop(ops, np.ones((n, n)), table)
+
+    def test_semigroup_table(self, rng):
+        # the unit 0 and an absorbing element 1 form a semigroup, no group
+        table = check_semigroup([[0, 1], [1, 1]]).table
+        ops = np.stack([np.eye(3), np.diag([1.0, 0.0, 0.0])]).astype(complex)
+        assert not self._same_as_loop(ops, np.ones((2, 2)), table).any()
+        noisy = ops + 1e-3 * _random_values(rng, ops.shape)
+        assert self._same_as_loop(noisy, _unit_phases(rng, (2, 2)), table).all()
+
+    def test_empty_stack(self):
+        ops = np.zeros((3, 0, 0), dtype=complex)
+        table = np.arange(3)[None, :].repeat(3, axis=0)
+        got = self._same_as_loop(ops, np.ones((3, 3)), table)
+        assert np.array_equal(got, np.zeros((3, 3)))
+
+    def test_check_rep_reports_the_first_violation_of_the_loop(self, rng):
+        # W_3 off by 1e-6: row-major, (1, 2) is the first pair that reads it
+        rep = phased_shift_rep(4, NormTag.l2(), rng)
+        mats = rep.matrices.copy()
+        mats[3] = mats[3] + 1e-6 * _random_values(rng, (4, 4))
+        table = rep.group.table
+        loop = pairwise_product_defects(mats, rep.multiplier.omega,
+                                        rep.group.mul)
+        first = next((s, t) for s in range(4) for t in range(4)
+                     if loop[s, t] > 1e-9)
+        assert first == (1, 2)
+        with pytest.raises(MultiplierRelationViolation) as exc:
+            check_rep(rep.group, rep.multiplier, NormedSpace(4, NormTag.l2()),
+                      mats)
+        assert exc.value.pair == first
+        assert exc.value.residual == loop[first]
+        assert np.array_equal(product_defects(mats, rep.multiplier.omega,
+                                              table), loop)
+
+    def test_check_rep_records_the_largest_defect_of_the_loop(self, rng):
+        rep = phased_shift_rep(5, NormTag.l2(), rng)
+        _, records = check_rep(rep.group, rep.multiplier, rep.space,
+                               rep.matrices)
+        [relation] = [r for r in records
+                      if r.paper_item == "valid.rep.relation"]
+        loop = pairwise_product_defects(rep.matrices, rep.multiplier.omega,
+                                        rep.group.mul)
+        assert relation.max_residual == float(loop.max())

@@ -19,12 +19,13 @@ from dilatekit.banach import (build_minimal_dilation,
                               induced_norm_from_injective, minimality_bound,
                               verify_dilation)
 from dilatekit.framing import build_dilated_basis, verify_basis_dilation
-from dilatekit.hilbert import build_hilbert_dilation, hilbert_as_injective
+from dilatekit.hilbert import build_hilbert_dilation
 from dilatekit.linalg import Tolerance
 from dilatekit.pipeline import _materialize, _system
 from dilatekit.scenario import gen_example, load_scenario
 
-from oracles import (gaussian, sampled_contraction, sampled_isometry,
+from oracles import (coords_from_values, gaussian, sampled_contraction,
+                     sampled_isometry,
                      sampled_lambda_isometry, sampled_minimality,
                      sampled_shrinkage, scanned_k)
 
@@ -94,17 +95,18 @@ def test_sampled_never_exceeds_certified(name, corrupt):
     assert sampled_isometry(moved) <= derived + slack
 
     if system.ovm_class.positive and sc.space_norm.kind == "l2":
-        adapter = hilbert_as_injective(build_hilbert_dilation(system, TOL))
-        moved = corrupt(adapter, "v_ops")
+        hd = build_hilbert_dilation(system, TOL)
+        moved = corrupt(hd, "v_ops")
         derived = _record(verify_dilation(moved, system, TOL), "dilation(h)")
         assert sampled_isometry(moved) <= derived + slack
-        induced = corrupt(induced_norm_from_injective(adapter, system, TOL,
+        induced = corrupt(induced_norm_from_injective(hd, system, TOL,
                                                       minimal=minimal),
                           "R", 0.99)
         k_bound, records = minimality_bound(induced, TOL)
         sampled = sampled_minimality(induced)
-        # the adapter's pi atoms are 0/1 blocks: K is the scanned K exactly
-        assert k_bound == pytest.approx(scanned_k(adapter), rel=1e-12)
+        # the Hilbert dilation's pi atoms are 0/1 blocks: K is the scanned
+        # K exactly
+        assert k_bound == pytest.approx(scanned_k(hd), rel=1e-12)
         assert sampled["residual"] <= _record(records, "minimality") + slack
         if corrupt is _keep:
             assert sampled["violations"] == 0
@@ -132,6 +134,6 @@ def test_single_window_alpha_is_the_z_norm(n, p):
     db = build_dilated_basis(mat.framing)
     carrier = build_minimal_dilation(_system(mat, TOL)[0], TOL).carrier
     coeffs = gaussian(np.random.default_rng(n), (32, db.z_dim))
-    coords = carrier.coords_from_values(coeffs[:, :, None] * db.synth)
+    coords = coords_from_values(carrier, coeffs[:, :, None] * db.synth)
     np.testing.assert_allclose(carrier.alpha_batch(coords),
                                db.z_batch(coeffs), rtol=1e-14)

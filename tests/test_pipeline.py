@@ -58,7 +58,7 @@ def _count_calls(monkeypatch, scenario: str, command: str) -> Counter:
 
 
 @pytest.mark.parametrize("scenario,command,expected", [
-    # one verification of the minimal dilation, one of the Hilbert adapter,
+    # one verification of the minimal dilation, one of the Hilbert dilation,
     # whose pi(Omega) is I exactly, so it is not restricted
     ("z2_bessel.json", "all", {"build_minimal_dilation": 1,
                                "verify_dilation": 2,
@@ -252,12 +252,25 @@ def _kernel_push(original, ds, system, tol, minimal):
                     dataclasses.replace(tol, eps_rank=1e-6), minimal=minimal)
 
 
+def _negated(obj):
+    """obj with its multiplier negated."""
+    return dataclasses.replace(obj, multiplier=dataclasses.replace(
+        obj.multiplier, omega=-obj.multiplier.omega))
+
+
 def _negated_multiplier(original, *args):
-    adapter = original(*args)
-    omega = -adapter.multiplier.omega
-    return dataclasses.replace(
-        adapter, multiplier=dataclasses.replace(adapter.multiplier,
-                                                omega=omega))
+    return _negated(original(*args))
+
+
+def _negated_framing_multiplier(original, db, fs, tol):
+    return original(db, dataclasses.replace(fs, theta=_negated(fs.theta)), tol)
+
+
+def _turned(obj, field):
+    """obj with entry 1 of ``field`` turned by the phase 1j."""
+    value = np.array(getattr(obj, field), copy=True)
+    value[1] *= 1j
+    return dataclasses.replace(obj, **{field: value})
 
 
 def _first_q_column(original, minimal, system, tol):
@@ -286,6 +299,9 @@ FAULT_ROWS = {
                     _built("rho_atoms", _bumped),
                     {"dilation(a)", "dilation(d)", "dilation(e)",
                      "dilation(g)"}),
+    # only (f) reads the dilation system's multiplier
+    "dilation(f)": ("dilate-banach", banach, "build_minimal_dilation",
+                    _negated_multiplier, {"dilation(f)"}),
     # noise on every V_s also breaks the laws (b), (c), (f), (g) that read V
     "dilation(h)": ("dilate-banach", banach, "build_minimal_dilation",
                     _built("v_ops", _bumped),
@@ -293,10 +309,14 @@ FAULT_ROWS = {
                      "dilation(g)", "dilation(h)"}),
     # ||V|| = ||phi(Omega)||^(1/2) (hilbert(7)) reads V too
     "hilbert(1)": ("dilate-hilbert", hilbert, "build_hilbert_dilation",
-                   _built("V", _scaled), {"hilbert(1)", "hilbert(7)"}),
+                   _built("T", _scaled), {"hilbert(1)", "hilbert(7)"}),
+    # U~_1 times 1j stays unitary and covariant, but breaks the product rule
+    # and U~_1 V = V U_1
+    "hilbert(3)": ("dilate-hilbert", hilbert, "build_hilbert_dilation",
+                   _built("v_ops", _turned), {"hilbert(3)", "hilbert(4)"}),
     # noise on every pi atom also breaks (1) and (6), which read pi
     "hilbert(5)": ("dilate-hilbert", hilbert, "build_hilbert_dilation",
-                   _built("pi_atoms", _bumped),
+                   _built("rho_atoms", _bumped),
                    {"hilbert(1)", "hilbert(5)", "hilbert(6)"}),
     # induced(4)'s defect, R T_d - rho(Omega) T, is minus the sum over atoms
     # of induced(0)'s; while rho's atoms have orthogonal ranges, as in every
@@ -316,8 +336,9 @@ FAULT_ROWS = {
     # d(mu) = ||R mu|| shrinks by 1 %, below alpha(mu) / K on some mu
     "minimality": ("all", banach, "induced_norm_from_injective", _shrunk_R,
                    {"minimality"}),
-    # only the verification of the Hilbert adapter reads its multiplier
-    "restriction(probability)": ("all", hilbert, "hilbert_as_injective",
+    # only the Hilbert dilation's verification as a dilation system reads
+    # its multiplier; hilbert(3) reads the system's
+    "restriction(probability)": ("all", hilbert, "build_hilbert_dilation",
                                  _negated_multiplier,
                                  {"restriction(probability)"}),
     # range(Q) of a minimal dilation is the sum of the atoms' ranges, which
@@ -331,6 +352,9 @@ FAULT_ROWS = {
     # S T = 1 + DELTA: ||x|| <= ||S T x|| <= ||Tx||_Z still bounds T below
     "basis(a)": ("dilate-framing", pipeline, "build_dilated_basis",
                  _built("T", _scaled), {"basis(a)"}),
+    # the verifier reads -omega: the product rule and the dual action break
+    "basis(b)": ("dilate-framing", pipeline, "verify_basis_dilation",
+                 _negated_framing_multiplier, {"basis(b)", "basis(f)"}),
     # noise on every lambda_h also breaks every law that reads lambda
     "basis(c)": ("dilate-framing", pipeline, "build_dilated_basis",
                  _built("lambdas", _bumped),
@@ -366,7 +390,7 @@ Z3 = json.loads((GOLDEN / "z3_regular_bessel.json").read_text())
 # - restriction.idempotent is raised only by banach.restrict_probability,
 #   which no pipeline stage calls.
 # - induced.injective: the only system the pipeline pulls back is the
-#   Hilbert adapter. Its image of atom w's generators is sqrt(lambda) on
+#   Hilbert dilation. Its image of atom w's generators is sqrt(lambda) on
 #   exactly the eigenvectors of phi({w}) that the alpha carrier keeps for w
 #   (the same relative rank threshold), and the check compares ranks atom
 #   by atom, so every combination that vanishes in M_phi maps to 0.
@@ -397,10 +421,22 @@ def test_input_fault_fails_exactly_its_code(code):
     assert [r.paper_item for r in report.checks if not r.passed] == [code]
 
 
+def test_non_euclidean_space_fails_as_a_non_hilbert_norm():
+    # on l1 the Hilbert dilation is unavailable because of the norm, not
+    # because a representation element (element 0 is the identity) fails
+    sc = gen_example("framing-single", {"n": 3, "p": 1}, 1)
+    report = run_pipeline(sc, "dilate-hilbert")
+    [record] = [r for r in report.checks if not r.passed]
+    assert (record.name, record.paper_item) == ("Euclidean target required",
+                                                "hilbert.applicability")
+    assert "l2 norm" in record.notes
+
+
 def test_atoms_of_different_scales_pass_induced_injectivity():
     # two orbits of the trivial group, atoms 1 and 1e-12: next to atom 0,
     # eps_rank would drop atom 1's generator (1e-12) but keep its Hilbert
-    # image (1e-6), so only a rank per atom sees the adapter as injective
+    # image (1e-6), so only a rank per atom sees the Hilbert dilation as
+    # injective
     one = [[[1.0, 0.0]]]
     sc = scenario_from_dict({
         "schema_version": 1, "group": {"order": 1, "table": [[0]]},

@@ -14,9 +14,10 @@ polynomial time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,9 +27,9 @@ from .errors import (ClosureViolation, InvalidInput, NotIdempotent,
 from .imprimitivity import ImprimitivitySystem
 from .linalg import (ELEMENT_BOUND_NOTE, ISOMETRY_RTOL, SET_BOUND_NOTE,
                      NormTag, NormedSpace, Tolerance, block_indicators,
-                     distortion, invariance_defect, max_abs, max_subset_norms,
-                     norm_bound, numeric_rank, orthonormal_range,
-                     product_defects, set_bound)
+                     block_moves, distortion, invariance_defect, max_abs,
+                     max_subset_norms, norm_bound, numeric_rank,
+                     orthonormal_range, product_defects, set_bound)
 from .linalg import row_norms  # noqa: F401  (perfbench traces this binding)
 from .linalg import subset_sums  # noqa: F401  (perfbench traces this binding)
 from .ovm import Ovm
@@ -51,14 +52,11 @@ class DilationSpaceAlpha:
     def build(cls, ovm: Ovm,
               tol: Optional[Tolerance] = None) -> "DilationSpaceAlpha":
         tol = tol or Tolerance()
-        blocks = []
-        offsets = [0]
-        for w in range(ovm.space.atoms):
-            b = orthonormal_range(ovm.atoms[w], tol)
-            assert b.shape[1] == numeric_rank(ovm.atoms[w], tol)
-            blocks.append(b)
-            offsets.append(offsets[-1] + b.shape[1])
-        return cls(ovm=ovm, blocks=tuple(blocks), offsets=tuple(offsets),
+        blocks = orthonormal_range(ovm.atoms, tol)
+        ranks = [b.shape[1] for b in blocks]
+        assert ranks == list(numeric_rank(ovm.atoms, tol))
+        offsets = (0, *itertools.accumulate(ranks))
+        return cls(ovm=ovm, blocks=tuple(blocks), offsets=offsets,
                    dim=offsets[-1])
 
     def block(self, w: int, coords: np.ndarray) -> np.ndarray:
@@ -126,28 +124,35 @@ def build_minimal_dilation(system: ImprimitivitySystem,
         raise SemigroupNotSupported()
     carrier = DilationSpaceAlpha.build(ovm, tol)
     r = carrier.dim
-    m = ovm.space.atoms
     n = rep.group.order
     d = ovm.dim
 
     rho_atoms = block_indicators(carrier.offsets)
 
-    v_ops = np.zeros((n, r, r), dtype=np.complex128)
-    for s in rep.group.elements:
-        ws = rep.matrices[s]
-        for w in range(m):
-            w2 = action.point(s, w)
-            b_from = carrier.blocks[w]
-            b_to = carrier.blocks[w2]
-            if b_from.shape[1] != b_to.shape[1]:
-                raise ClosureViolation(f"V_{s} block {w}->{w2}", float("inf"))
-            blk = b_to.conj().T @ ws @ b_from
-            resid = max_abs(ws @ b_from - b_to @ blk)
-            if resid > tol.eps_residual:
-                raise ClosureViolation(f"V_{s} block {w}->{w2}", resid)
-            lo_f, hi_f = carrier.offsets[w], carrier.offsets[w + 1]
-            lo_t, hi_t = carrier.offsets[w2], carrier.offsets[w2 + 1]
-            v_ops[s, lo_t:hi_t, lo_f:hi_f] = blk
+    # V_s block w -> s.w for every (s, w), stacked over s, with block
+    # (s.w, w) of V_s kept at block (w, w) until every block is in: entry
+    # [s, w] of resid is the closure defect, inf where the block ranks differ
+    ranks = np.diff(carrier.offsets)
+    targets = action.point_map
+    resid = np.where(ranks[targets] != ranks, np.inf, 0.0)
+    moved = np.zeros((n, r, r), dtype=np.complex128)
+    for w, b_from in enumerate(carrier.blocks):
+        lo, hi = carrier.offsets[w], carrier.offsets[w + 1]
+        elems = np.flatnonzero(ranks[targets[:, w]] == ranks[w])
+        if lo == hi or elems.size == 0:
+            continue
+        ws = rep.matrices[elems]
+        b_to = np.stack([carrier.blocks[u] for u in targets[elems, w]])
+        blk = (b_to.conj().transpose(0, 2, 1) @ ws) @ b_from
+        resid[elems, w] = np.abs(ws @ b_from - b_to @ blk).max(axis=(1, 2))
+        moved[elems, lo:hi, lo:hi] = blk
+    bad = np.argwhere(resid > tol.eps_residual)  # row-major: the first (s, w)
+    if bad.size:
+        s, w = (int(i) for i in bad[0])
+        raise ClosureViolation(f"V_{s} block {w}->{targets[s, w]}",
+                               float(resid[s, w]))
+    v_ops = np.zeros_like(moved)
+    v_ops[np.arange(n)[:, None], block_moves(carrier.offsets, targets)] = moved
 
     t_mat = (np.concatenate([b.conj().T @ ovm.atoms[w]
                              for w, b in enumerate(carrier.blocks)], axis=0)
@@ -174,86 +179,143 @@ def _isometry_bound(ds: DilationSystem, system: ImprimitivitySystem) -> float:
     the first sum by kappa lam sum_w ||C_sw|| alpha(c); with ||c||_2 <=
     sqrt(m) kappa alpha(c) and ||sum_u b_u z_u||_2 <= sqrt(m) ||z||_2 the
     second is at most kappa lam m ||O_s|| alpha(c). W_s changes a norm by
-    at most its distortion, on both sides.
+    at most its distortion, on both sides. Every term is taken for all s at
+    once, stacked over s, one atom w at a time.
     """
     if ds.carrier is None:
-        return max(distortion(v, L2) for v in ds.v_ops)
+        return float(distortion(ds.v_ops, L2).max())
     carrier, rep, action = ds.carrier, system.rep, system.action
     tag = ds.target.norm
     kappa_lam = ds.target.dim ** abs(0.5 - 1.0 / tag.exponent)
-    off = carrier.offsets
-    worst = 0.0
-    for s in rep.group.elements:
-        rest = ds.v_ops[s].copy()
-        blocks = 0.0
-        for w, b in enumerate(carrier.blocks):
-            u = action.point(s, w)
-            cut = slice(off[u], off[u + 1]), slice(off[w], off[w + 1])
-            blocks += norm_bound(rep.matrices[s] @ b
-                                 - carrier.blocks[u] @ rest[cut], L2)
-            rest[cut] = 0.0
-        worst = max(worst, distortion(rep.matrices[s], tag) + kappa_lam * (
-            blocks + ds.space.atoms * norm_bound(rest, L2)))
-    return worst
+    # block (s.w, w) of V_s moved to block (w, w), zeroed once measured;
+    # column block w of b_to[s] is b_{s.w}
+    elems = np.arange(rep.group.order)[:, None]
+    moves = block_moves(carrier.offsets, action.point_map)
+    moved = ds.v_ops[elems, moves]
+    b_to = np.moveaxis(carrier.full_value()[:, moves], 1, 0)
+    blocks = np.zeros(rep.group.order)
+    for w, b in enumerate(carrier.blocks):
+        cut = slice(carrier.offsets[w], carrier.offsets[w + 1])
+        blocks += norm_bound(rep.matrices @ b - b_to[:, :, cut] @ moved[:, cut, cut],
+                             L2)
+        moved[:, cut, cut] = 0.0
+    rest = np.zeros_like(moved)
+    rest[elems, moves] = moved
+    return float((distortion(rep.matrices, tag) + kappa_lam * (
+        blocks + ds.space.atoms * norm_bound(rest, L2))).max())
+
+
+def _factorization(ds: DilationSystem, system: ImprimitivitySystem) -> float:
+    return set_bound(ds.Q @ ds.rho_atoms @ ds.T - system.ovm.atoms)
+
+
+def _intertwines_q(ds: DilationSystem, system: ImprimitivitySystem) -> float:
+    return max_abs(ds.Q @ ds.v_ops - system.rep.matrices @ ds.Q)
+
+
+def _intertwines_t(ds: DilationSystem, system: ImprimitivitySystem) -> float:
+    return max_abs(ds.v_ops @ ds.T - ds.T @ system.rep.matrices)
+
+
+def _multiplicative(ds: DilationSystem, system: ImprimitivitySystem) -> float:
+    # the defect on sets A, B sums D_ab = rho_a rho_b - [a = b] rho_a over
+    # a in A, b in B; set_bound takes the stacks D_a. one atom a at a time
+    m = ds.space.atoms
+    delta = np.eye(m)[:, :, None, None]
+    return set_bound(ds.rho_atoms[a] @ ds.rho_atoms - delta[a] * ds.rho_atoms[a]
+                     for a in range(m))
+
+
+def _unital(ds: DilationSystem, system: ImprimitivitySystem) -> float:
+    return max_abs(ds.rho(ds.space.full) - np.eye(ds.dim))
+
+
+def _product_rule(ds: DilationSystem, system: ImprimitivitySystem) -> float:
+    return float(product_defects(ds.v_ops, ds.multiplier.omega,
+                                 system.rep.group.table).max())
+
+
+def _covariant(ds: DilationSystem, system: ImprimitivitySystem) -> float:
+    # atom w's defect is V_s rho({w}) - rho({s.w}) V_s
+    return max(set_bound(ds.v_ops[s] @ ds.rho_atoms
+                         - ds.rho_atoms[system.action.point_map[s]] @ ds.v_ops[s])
+               for s in system.rep.group.elements)
+
+
+def lifted_multiplier(multiplier: Multiplier, tol: Tolerance) -> np.ndarray:
+    """The multiplier of the product rule hilbert(3) checks: omega when it
+    differs from 1 by more than eps (the lift is an extension), else
+    exactly 1."""
+    omega = multiplier.omega
+    if max_abs(omega - 1.0) > tol.eps_residual:
+        return omega
+    return np.ones(omega.shape)
+
+
+def _always(ds, system, tol) -> bool:
+    return True
+
+
+def _same_lifted_multiplier(ds, system, tol) -> bool:
+    # (f) reads the dilation's multiplier, hilbert(3) the lifted one
+    return np.array_equal(ds.multiplier.omega,
+                          lifted_multiplier(system.rep.multiplier, tol))
+
+
+@dataclass(frozen=True)
+class Law:
+    """One dilation-system law: its report name and code, its residual on
+    (ds, system), its threshold (eps_residual unless given) and notes. On a
+    Hilbert dilation (T = V, rho = pi) the code ``hilbert`` measures the
+    same residual bit for bit whenever ``same_on_hilbert`` holds."""
+
+    code: str
+    name: str
+    residual: Callable[[DilationSystem, ImprimitivitySystem], float]
+    notes: str = ""
+    threshold: Optional[float] = None
+    hilbert: str = ""
+    same_on_hilbert: Callable[..., bool] = _always
+
+    def check(self, ds: DilationSystem, system: ImprimitivitySystem,
+              tol: Tolerance) -> CheckRecord:
+        return check(self.name, self.code, self.residual(ds, system),
+                     self.threshold or tol.eps_residual, notes=self.notes)
+
+
+# (a) phi(E) = Q rho(E) T for every set, (b) Q V_s = W_s Q,
+# (c) V_s T = T W_s, (d) rho(A n B) = rho(A) rho(B), (e) rho(Omega) = I,
+# (f) V_s V_t = omega(s,t) V_st, (g) V_s rho(E) = rho(sE) V_s, and
+# (h) every V_s is an isometry of the carrier norm. The defects of (a) and
+# (g) on a set are sums of atom defects and that of (d) on a pair of sets
+# is a sum of atom-pair defects, so set_bound certifies all three on every
+# set and every pair; _isometry_bound certifies (h) on every element. (b)
+# and (c) take every element in one stacked product, (h) one atom at a
+# time, stacked over the elements.
+DILATION_LAWS = (
+    Law("dilation(a)", "factorization phi(E) = Q rho(E) T", _factorization,
+        SET_BOUND_NOTE, hilbert="hilbert(1)"),
+    Law("dilation(b)", "intertwining Q V_s = W_s Q", _intertwines_q),
+    Law("dilation(c)", "intertwining V_s T = T W_s", _intertwines_t,
+        hilbert="hilbert(4)"),
+    Law("dilation(d)", "rho multiplicative on intersections", _multiplicative,
+        SET_BOUND_NOTE),
+    Law("dilation(e)", "rho(Omega) = I on the carrier", _unital,
+        hilbert="hilbert(6)"),
+    Law("dilation(f)", "V_s V_t = omega(s,t) V_st", _product_rule,
+        hilbert="hilbert(3)", same_on_hilbert=_same_lifted_multiplier),
+    Law("dilation(g)", "covariance V_s rho(E) = rho(sE) V_s", _covariant,
+        SET_BOUND_NOTE),
+    Law("dilation(h)", "V_s isometric for the carrier norm", _isometry_bound,
+        ELEMENT_BOUND_NOTE, threshold=ISOMETRY_RTOL),
+)
 
 
 def verify_dilation(ds: DilationSystem, system: ImprimitivitySystem,
                     tol: Optional[Tolerance] = None) -> List[CheckRecord]:
-    """Residual report for the dilation-system laws.
-
-    (a) phi(E) = Q rho(E) T for every set, (b) Q V_s = W_s Q,
-    (c) V_s T = T W_s, (d) rho(A n B) = rho(A) rho(B), (e) rho(Omega) = I,
-    (f) V_s V_t = omega(s,t) V_st, (g) V_s rho(E) = rho(sE) V_s, and
-    (h) every V_s is an isometry of the carrier norm.
-    The defects of (a) and (g) on a set are sums of atom defects and that
-    of (d) on a pair of sets is a sum of atom-pair defects, so
-    :func:`set_bound` certifies all three on every set and every pair;
-    :func:`_isometry_bound` certifies (h) on every element.
-    """
+    """One record per law of :data:`DILATION_LAWS`, in its order."""
     tol = tol or Tolerance()
-    eps = tol.eps_residual
-    rep, ovm, action = system.rep, system.ovm, system.action
-    m = ovm.space.atoms
-    records = []
-
-    resid_a = set_bound(ds.Q @ ds.rho_atoms @ ds.T - ovm.atoms)
-    records.append(check("factorization phi(E) = Q rho(E) T", "dilation(a)",
-                         resid_a, eps, notes=SET_BOUND_NOTE))
-
-    resid_b = max(max_abs(ds.Q @ ds.v_ops[s] - rep.matrices[s] @ ds.Q)
-                  for s in rep.group.elements)
-    records.append(check("intertwining Q V_s = W_s Q", "dilation(b)", resid_b, eps))
-
-    resid_c = max(max_abs(ds.v_ops[s] @ ds.T - ds.T @ rep.matrices[s])
-                  for s in rep.group.elements)
-    records.append(check("intertwining V_s T = T W_s", "dilation(c)", resid_c, eps))
-
-    # (d)/(e): rho is a probability spectral measure on the carrier. The (d)
-    # defect on sets A, B sums D_ab = rho_a rho_b - [a = b] rho_a over a in A,
-    # b in B; set_bound takes the stacks D_a. one atom a at a time
-    delta = np.eye(m)[:, :, None, None]
-    resid_d = set_bound(ds.rho_atoms[a] @ ds.rho_atoms - delta[a] * ds.rho_atoms[a]
-                        for a in range(m))
-    records.append(check("rho multiplicative on intersections", "dilation(d)",
-                         resid_d, eps, notes=SET_BOUND_NOTE))
-    records.append(check("rho(Omega) = I on the carrier", "dilation(e)",
-                         max_abs(ds.rho(ds.space.full) - np.eye(ds.dim)), eps))
-
-    resid_f = product_defects(ds.v_ops, ds.multiplier.omega,
-                              rep.group.table).max()
-    records.append(check("V_s V_t = omega(s,t) V_st", "dilation(f)", resid_f, eps))
-
-    # atom w's defect is V_s rho({w}) - rho({s.w}) V_s
-    resid_g = max(set_bound(ds.v_ops[s] @ ds.rho_atoms
-                            - ds.rho_atoms[action.point_map[s]] @ ds.v_ops[s])
-                  for s in rep.group.elements)
-    records.append(check("covariance V_s rho(E) = rho(sE) V_s", "dilation(g)",
-                         resid_g, eps, notes=SET_BOUND_NOTE))
-
-    records.append(check("V_s isometric for the carrier norm", "dilation(h)",
-                         _isometry_bound(ds, system), ISOMETRY_RTOL,
-                         notes=ELEMENT_BOUND_NOTE))
-    return records
+    return [law.check(ds, system, tol) for law in DILATION_LAWS]
 
 
 def restrict_probability(ds: DilationSystem,
@@ -367,8 +429,7 @@ def induced_norm_from_injective(ds: DilationSystem, system: ImprimitivitySystem,
 
     records = [check("induced norm well-defined on generators", "induced(0)",
                      factor_resid, eps)]
-    resid_v = max(max_abs(r_map @ minimal.v_ops[s] - ds.v_ops[s] @ r_map)
-                  for s in system.rep.group.elements)
+    resid_v = max_abs(r_map @ minimal.v_ops - ds.v_ops @ r_map)
     records.append(check("R V_d,s = V_s R", "induced(1)", resid_v, eps))
     resid_rho = set_bound(r_map @ minimal.rho_atoms - ds.rho_atoms @ r_map)
     records.append(check("R rho_d(E) = rho(E) R", "induced(2)", resid_rho, eps,

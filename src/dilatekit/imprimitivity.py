@@ -17,8 +17,8 @@ import numpy as np
 from .algebra import FiniteGroup, GroupAction, Multiplier, same_group
 from .errors import (CovarianceViolation, MultiplierRelationViolation,
                      NotIsometry, ShapeMismatch, UnitViolation)
-from .linalg import (NormedSpace, Tolerance, is_isometry, max_abs,
-                     product_defects, require_finite)
+from .linalg import (NormedSpace, Tolerance, is_isometry, isometry_residuals,
+                     max_abs, product_defects, require_finite)
 from .ovm import Ovm, OvmClass, classify
 from .report import CheckRecord, check
 
@@ -37,7 +37,8 @@ def check_rep(group: FiniteGroup, multiplier: Multiplier, space: NormedSpace,
               matrices, tol: Optional[Tolerance] = None
               ) -> Tuple[ProjectiveRep, List[CheckRecord]]:
     """Validate the unit, the multiplier relation W_s W_t = omega(s,t) W_st
-    over all pairs, and the isometry of every element.
+    over all pairs, and the isometry of every element, all elements in one
+    stacked call.
 
     Returns the representation together with one record per axiom carrying
     the maximal residual observed.
@@ -63,12 +64,12 @@ def check_rep(group: FiniteGroup, multiplier: Multiplier, space: NormedSpace,
         raise MultiplierRelationViolation(s, t, float(defects[s, t]))
     relation_resid = float(defects.max())
 
-    isometry_resid = 0.0
-    for s in group.elements:
-        chk = is_isometry(mats[s], space.norm, tol)
-        if not chk.ok:
-            raise NotIsometry(s, chk.witness)
-        isometry_resid = max(isometry_resid, chk.residual)
+    isometries = isometry_residuals(mats, space.norm)
+    bad = np.flatnonzero(isometries > eps)
+    if bad.size:
+        s = int(bad[0])
+        raise NotIsometry(s, is_isometry(mats[s], space.norm, tol).witness)
+    isometry_resid = float(isometries.max())
 
     rep = ProjectiveRep(group=group, multiplier=multiplier, space=space,
                         matrices=mats)
@@ -93,13 +94,14 @@ class ImprimitivitySystem:
 
 def covariance_residuals(rep: ProjectiveRep, ovm: Ovm, action: GroupAction
                          ) -> np.ndarray:
-    """||W_s phi({w}) - phi({s.w}) W_s|| for every element s and atom w."""
+    """max |W_s phi({w}) - phi({s.w}) W_s| for every element s and atom w,
+    one stacked product over the atoms per s."""
     out = np.zeros((rep.group.order, ovm.space.atoms))
-    for s in rep.group.elements:
-        ws = rep.matrices[s]
-        for w in range(ovm.space.atoms):
-            out[s, w] = max_abs(ws @ ovm.atoms[w]
-                                - ovm.atoms[action.point(s, w)] @ ws)
+    if ovm.atoms.size:
+        for s in rep.group.elements:
+            ws = rep.matrices[s]
+            diff = ws @ ovm.atoms - ovm.atoms[action.point_map[s]] @ ws
+            out[s] = np.abs(diff).max(axis=(1, 2))
     return out
 
 

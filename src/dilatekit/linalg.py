@@ -188,41 +188,70 @@ def _norm_root(inner: np.ndarray, tag: NormTag) -> np.ndarray:
     return inner
 
 
-def norm_bound(m, tag: NormTag) -> float:
+def _stack(m) -> np.ndarray:
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim not in (2, 3):
+        raise InvalidInput(f"expected a matrix or a stack of them, got shape "
+                           f"{a.shape}")
+    return a
+
+
+def _per_matrix(values: np.ndarray):
+    """A float for one matrix, the (n,) array for a stack."""
+    return values if values.ndim else values[()]
+
+
+def norm_bound(m, tag: NormTag):
     """Upper bound N(M) on the operator norm of M on (C^d, tag): exact for
     l1 (largest column sum of moduli), l2 (largest singular value) and linf
     (largest row sum); for lp the Riesz-Thorin bound N_1^(1/p) N_inf^(1-1/p).
+
+    M is one matrix, or an (n, k, l) stack with one bound per matrix, each
+    equal bit for bit to the bound of that matrix alone.
     """
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0.0
+    a = _stack(m)
+    lead = a.shape[:-2]
+    if a.shape[-1] == 0 or a.shape[-2] == 0:
+        return _per_matrix(np.zeros(lead))
     if tag.kind == "l2":
-        return float(np.linalg.svd(a, compute_uv=False)[0])
+        return _per_matrix(np.linalg.svd(a, compute_uv=False)[..., 0])
     mags = np.abs(a)
-    col, row = float(mags.sum(axis=0).max()), float(mags.sum(axis=1).max())
+    col, row = mags.sum(axis=-2).max(axis=-1), mags.sum(axis=-1).max(axis=-1)
     if tag.kind == "l1":
-        return col
+        return _per_matrix(col)
     if tag.kind == "linf":
-        return row
-    return col ** (1.0 / tag.p) * row ** (1.0 - 1.0 / tag.p)
+        return _per_matrix(row)
+    # python-float pow, as in vec_norm
+    inv = 1.0 / tag.p
+    return _per_matrix(np.array(
+        [float(c) ** inv * float(r) ** (1.0 - inv)
+         for c, r in zip(col.ravel(), row.ravel())]).reshape(lead))
 
 
-def shrink_bound(m, tag: NormTag) -> float:
+def shrink_bound(m, tag: NormTag):
     """1 - 1/N(M^-1), with N from :func:`norm_bound`: a bound on
     1 - ||My|| / ||y|| over every y != 0, since ||y|| <= N(M^-1) ||My||.
-    A singular M sends some y to 0, so it reads 1."""
+    A singular M sends some y to 0, so it reads 1. One value per matrix of
+    a stack."""
+    a = _stack(m)
     try:
-        return 1.0 - 1.0 / norm_bound(np.linalg.inv(m), tag)
+        return 1.0 - 1.0 / norm_bound(np.linalg.inv(a), tag)
     except np.linalg.LinAlgError:
-        return 1.0
+        if a.ndim == 2:
+            return 1.0
+        # a singular matrix in the stack: the others still get their bound
+        return np.array([shrink_bound(b, tag) for b in a])
 
 
-def distortion(m, tag: NormTag) -> float:
+def distortion(m, tag: NormTag):
     """max(0, N(M) - 1, 1 - 1/N(M^-1)): a bound on | ||My|| / ||y|| - 1 |
-    over every y != 0, 0 for an empty M."""
-    if np.size(m) == 0:
-        return 0.0
-    return max(0.0, norm_bound(m, tag) - 1.0, shrink_bound(m, tag))
+    over every y != 0, 0 for an empty M. One value per matrix of a
+    stack."""
+    a = _stack(m)
+    if a.shape[-1] == 0:
+        return _per_matrix(np.zeros(a.shape[:-2]))
+    return _per_matrix(np.maximum(np.maximum(0.0, norm_bound(a, tag) - 1.0),
+                                  shrink_bound(a, tag)))
 
 
 def row_norms(rows: np.ndarray, tag: NormTag) -> np.ndarray:
@@ -244,6 +273,40 @@ class IsometryCheck:
         return self.ok
 
 
+def _isometry_parts(a: np.ndarray, tag: NormTag):
+    """For an (n, d, d) stack with d > 0: the isometry residual of each
+    matrix, and what :func:`is_isometry`'s witness reads: the Gram matrices
+    M*M (l2), or the per-row and per-column defects (other tags)."""
+    d = a.shape[-1]
+    if tag.kind == "l2":
+        gram = a.conj().transpose(0, 2, 1) @ a
+        return np.abs(gram - np.eye(d)).max(axis=(1, 2)), gram
+    mags = np.abs(a)
+    # off-diagonal mass: everything except the single largest entry per line
+    resid_rows = np.abs(mags.max(axis=2) - 1.0)
+    resid_cols = np.abs(mags.max(axis=1) - 1.0)
+    if d > 1:
+        second_rows = np.partition(mags, -2, axis=2)[:, :, -2]
+        second_cols = np.partition(mags, -2, axis=1)[:, -2, :]
+    else:
+        second_rows = second_cols = np.zeros(mags.shape[:2])
+    per_row = np.maximum(resid_rows, second_rows)
+    per_col = np.maximum(resid_cols, second_cols)
+    return (np.maximum(per_row.max(axis=1), per_col.max(axis=1)),
+            (per_row, per_col))
+
+
+def isometry_residuals(mats, tag: NormTag) -> np.ndarray:
+    """The residual of :func:`is_isometry` for every matrix of an (n, d, d)
+    stack of finite entries, each equal to it bit for bit."""
+    a = np.asarray(mats, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise InvalidInput(f"isometry test needs square matrices, got {a.shape}")
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[0])
+    return _isometry_parts(a, tag)[0]
+
+
 def is_isometry(m, tag: NormTag, tol: Optional[Tolerance] = None) -> IsometryCheck:
     """Certify that a square matrix is a surjective isometry of (C^d, tag).
 
@@ -258,33 +321,19 @@ def is_isometry(m, tag: NormTag, tol: Optional[Tolerance] = None) -> IsometryChe
     a = require_finite(as_matrix(m), "matrix")
     if a.shape[0] != a.shape[1]:
         raise InvalidInput(f"isometry test needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return IsometryCheck(True, 0.0)
-
+    resids, parts = _isometry_parts(a[None], tag)
+    resid = float(resids[0])
+    if resid <= tol.eps_residual:
+        return IsometryCheck(True, resid)
     if tag.kind == "l2":
-        gram = a.conj().T @ a
-        resid = max_abs(gram - np.eye(n))
-        if resid <= tol.eps_residual:
-            return IsometryCheck(True, resid)
+        gram = parts[0]
         evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
         worst = int(np.argmax(np.abs(evals - 1.0)))
         return IsometryCheck(False, resid, witness=evecs[:, worst],
                              note="unitarity defect M*M != I")
-
-    mags = np.abs(a)
-    top_rows = mags.max(axis=1)
-    top_cols = mags.max(axis=0)
-    # off-diagonal mass: everything except the single largest entry per line
-    resid_rows = np.abs(top_rows - 1.0)
-    resid_cols = np.abs(top_cols - 1.0)
-    second_rows = np.partition(mags, -2, axis=1)[:, -2] if n > 1 else np.zeros(n)
-    second_cols = np.partition(mags, -2, axis=0)[-2, :] if n > 1 else np.zeros(n)
-    per_row = np.maximum(resid_rows, second_rows)
-    per_col = np.maximum(resid_cols, second_cols)
-    resid = float(max(per_row.max(), per_col.max()))
-    if resid <= tol.eps_residual:
-        return IsometryCheck(True, resid)
+    per_row, per_col = parts[0][0], parts[1][0]
     if per_row.max() >= per_col.max():
         idx = int(np.argmax(per_row))
         return IsometryCheck(False, resid, witness=("row", idx),
@@ -294,40 +343,49 @@ def is_isometry(m, tag: NormTag, tol: Optional[Tolerance] = None) -> IsometryChe
                          note="not a generalized permutation")
 
 
+def _square_stack(m, what: str) -> np.ndarray:
+    a = require_finite(_stack(m), "matrix")
+    if a.shape[-1] != a.shape[-2]:
+        raise InvalidInput(f"{what} needs square matrices, got {a.shape}")
+    return a
+
+
 def hermitian_eig(m, tol: Optional[Tolerance] = None):
-    """Eigendecomposition M = U diag(w) U* of a Hermitian matrix.
+    """Eigendecomposition M = U diag(w) U* of a Hermitian matrix, or of
+    every matrix of an (n, d, d) stack, each bit for bit as alone.
 
     Eigenvalues come back sorted descending. Raises :class:`InvalidInput`
-    when M is not Hermitian within tolerance.
+    when M (the first such matrix of a stack) is not Hermitian within
+    tolerance.
     """
     tol = tol or Tolerance()
-    a = require_finite(as_matrix(m), "matrix")
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInput("hermitian_eig needs a square matrix")
-    if a.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
-    herm_defect = max_abs(a - a.conj().T)
-    if herm_defect > tol.eps_residual * (1.0 + max_abs(a)):
-        raise InvalidInput(f"matrix is not Hermitian, defect {herm_defect:.3e}")
-    sym = (a + a.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(sym)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    return evals, evecs
+    a = _square_stack(m, "hermitian_eig")
+    if a.shape[-1] == 0:
+        return (np.zeros(a.shape[:-1]),
+                np.zeros(a.shape, dtype=np.complex128))
+    adjoint = np.swapaxes(a, -1, -2).conj()
+    herm_defect = np.abs(a - adjoint).max(axis=(-2, -1))
+    bad = np.flatnonzero(herm_defect > tol.eps_residual
+                         * (1.0 + np.abs(a).max(axis=(-2, -1))))
+    if bad.size:
+        raise InvalidInput(f"matrix is not Hermitian, defect "
+                           f"{float(herm_defect.flat[bad[0]]):.3e}")
+    evals, evecs = np.linalg.eigh((a + adjoint) / 2.0)
+    order = np.argsort(evals, axis=-1)[..., ::-1]
+    return (np.take_along_axis(evals, order, axis=-1),
+            np.take_along_axis(evecs, order[..., None, :], axis=-1))
 
 
-def numeric_rank(m, tol: Optional[Tolerance] = None) -> int:
-    """Count of singular values above ``eps_rank`` relative to the largest."""
+def numeric_rank(m, tol: Optional[Tolerance] = None):
+    """Count of singular values above ``eps_rank`` relative to the largest;
+    one count per matrix of an (n, d, k) stack."""
     tol = tol or Tolerance()
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0
+    a = _stack(m)
+    if a.shape[-1] == 0 or a.shape[-2] == 0:
+        return _per_matrix(np.zeros(a.shape[:-2], dtype=int))
     svals = np.linalg.svd(a, compute_uv=False)
-    smax = float(svals[0])
-    if smax <= 0.0:
-        return 0
-    return int(np.sum(svals > tol.eps_rank * smax))
+    # a zero matrix has smax = 0 and no value above it
+    return _per_matrix((svals > tol.eps_rank * svals[..., :1]).sum(axis=-1))
 
 
 def dual_pair(x, f) -> complex:
@@ -430,6 +488,18 @@ def block_indicators(offsets) -> np.ndarray:
     return out
 
 
+def block_moves(offsets, point_map) -> np.ndarray:
+    """Row s lists, block by block, the coordinates of block s.w in place
+    of block w: the concatenation over w of offsets[s.w]:offsets[s.w + 1].
+    For blocks of the rank of their images, ``stack[np.arange(n)[:, None],
+    moves]`` moves row block s.w of matrix s to row block w, so that block
+    (s.w, w) of each matrix lands on its diagonal."""
+    off = np.asarray(offsets)
+    ranks = np.diff(off)
+    within = np.arange(off[-1]) - np.repeat(off[:-1], ranks)
+    return np.repeat(off[np.asarray(point_map)], ranks, axis=1) + within
+
+
 def invariance_defect(basis: np.ndarray, operators) -> float:
     """Largest ||(I - B B*) A B|| over the operators A, for orthonormal
     columns B: 0 exactly when every A maps range(B) into itself."""
@@ -468,15 +538,17 @@ def random_cyclic_unitaries(rng: np.random.Generator, n: int, d: int
     return out
 
 
-def orthonormal_range(m, tol: Optional[Tolerance] = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of ``m``."""
+def orthonormal_range(m, tol: Optional[Tolerance] = None):
+    """Orthonormal basis (columns) of the column space of ``m``; for an
+    (n, d, k) stack, the list of the n bases, from one stacked SVD."""
     tol = tol or Tolerance()
-    a = as_matrix(m)
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    u, svals, _ = np.linalg.svd(a, full_matrices=False)
-    smax = float(svals[0]) if svals.size else 0.0
-    if smax <= 0.0:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    r = int(np.sum(svals > tol.eps_rank * smax))
-    return u[:, :r]
+    a = _stack(m)
+    if a.shape[-1] == 0 or a.shape[-2] == 0:
+        bases = [np.zeros((a.shape[-2], 0), dtype=np.complex128)] * (
+            a.shape[0] if a.ndim == 3 else 1)
+    else:
+        u, svals, _ = np.linalg.svd(a, full_matrices=False)
+        ranks = (svals > tol.eps_rank * svals[..., :1]).sum(axis=-1)
+        bases = [b[:, :r] for b, r in zip(u.reshape((-1,) + u.shape[-2:]),
+                                           np.ravel(ranks))]
+    return bases if a.ndim == 3 else bases[0]

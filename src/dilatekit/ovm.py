@@ -14,8 +14,8 @@ import numpy as np
 from .algebra import MeasurableSpace
 from .errors import (InvalidInput, NonHilbertNorm, NonUnitaryRep, ShapeMismatch,
                      WindowCountMismatch)
-from .linalg import (NormedSpace, Tolerance, as_matrix, is_isometry, max_abs,
-                     require_finite)
+from .linalg import (NormedSpace, Tolerance, as_matrix, isometry_residuals,
+                     max_abs, require_finite)
 
 
 
@@ -72,25 +72,21 @@ def classify(ovm: Ovm, tol: Optional[Tolerance] = None) -> OvmClass:
     total = evaluate(ovm, ovm.space.full)
     probability = max_abs(total - np.eye(d)) <= eps
 
-    positive = True
-    for atom in ovm.atoms:
-        if max_abs(atom - atom.conj().T) > eps:
-            positive = False
-            break
-        evals = np.linalg.eigvalsh((atom + atom.conj().T) / 2.0)
-        if evals.size and float(evals[0]) < -eps:
-            positive = False
-            break
+    atoms = ovm.atoms
+    adjoints = atoms.conj().transpose(0, 2, 1)
+    positive = bool(np.all(np.abs(atoms - adjoints).max(axis=(1, 2), initial=0.0)
+                           <= eps))
+    if positive and d:
+        evals = np.linalg.eigvalsh((atoms + adjoints) / 2.0)
+        positive = bool(np.all(evals[:, 0] >= -eps))
 
+    # atoms a and b multiply to [a = b] a, one stacked product per a
     spectral = True
     m = ovm.space.atoms
+    delta = np.eye(m)[:, :, None, None]
     for a in range(m):
-        for b in range(m):
-            expected = ovm.atoms[a] if a == b else 0.0
-            if max_abs(ovm.atoms[a] @ ovm.atoms[b] - expected) > eps:
-                spectral = False
-                break
-        if not spectral:
+        if max_abs(atoms[a] @ atoms - delta[a] * atoms[a]) > eps:
+            spectral = False
             break
     return OvmClass(probability=probability, positive=positive, spectral=spectral)
 
@@ -107,10 +103,10 @@ def bessel_ovm(rep: "ProjectiveRep", f) -> Ovm:
     fv = require_finite(np.asarray(f, dtype=np.complex128), "vector")
     if fv.shape != (rep.space.dim,):
         raise ShapeMismatch(f"vector must have dim {rep.space.dim}")
-    for s, mat in enumerate(rep.matrices):
-        chk = is_isometry(mat, rep.space.norm)
-        if not chk.ok:
-            raise NonUnitaryRep(s, chk.residual)
+    unitarity = isometry_residuals(rep.matrices, rep.space.norm)
+    bad = np.flatnonzero(unitarity > Tolerance().eps_residual)
+    if bad.size:
+        raise NonUnitaryRep(int(bad[0]), float(unitarity[bad[0]]))
     atoms = np.empty((rep.group.order, rep.space.dim, rep.space.dim),
                      dtype=np.complex128)
     for g in rep.group.elements:

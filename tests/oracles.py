@@ -6,8 +6,11 @@ versions of dilation(h), minimality, basis(c), basis(g) and basis(i) as
 the verifiers computed them before each became a certified bound. Every
 sampled residual here must stay below the certified one, up to the
 rounding of the sampled estimate itself. The pairwise product rule is the
-oracle of :func:`linalg.product_defects`; the other helpers serve tests
-only.
+oracle of :func:`linalg.product_defects`, and the per-element loops below
+are the oracles of the laws, bounds and builders that take every group
+element in one stacked call: each stacked result must equal its loop bit
+for bit, and raise the same error on the same first (s, w). The other
+helpers serve tests only.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from dilatekit.algebra import MeasurableSpace
-from dilatekit.errors import ShapeMismatch
-from dilatekit.linalg import (NormedSpace, max_abs, max_subset_norms,
-                              row_norms, subset_sums)
+from dilatekit.errors import (BlockRankMismatch, ClosureViolation,
+                              NonUnitaryRep, NotIsometry, ShapeMismatch)
+from dilatekit.linalg import (NormTag, NormedSpace, Tolerance, as_matrix,
+                              hermitian_eig, is_isometry, max_abs,
+                              max_subset_norms, row_norms, subset_sums)
 from dilatekit.ovm import Ovm
 
 
@@ -208,3 +213,237 @@ def same_scenario(a, b) -> bool:
             and eq(a.framing_windows, b.framing_windows)
             and eq(a.framing_duals, b.framing_duals)
             and a.hints == b.hints)
+
+
+# -- per-element loops of the stacked code --
+
+L2 = NormTag.l2()
+
+
+def matrix_norm_bound(m, tag) -> float:
+    """linalg.norm_bound of one matrix, as a loop body computed it."""
+    a = as_matrix(m)
+    if a.size == 0:
+        return 0.0
+    if tag.kind == "l2":
+        return float(np.linalg.svd(a, compute_uv=False)[0])
+    mags = np.abs(a)
+    col, row = float(mags.sum(axis=0).max()), float(mags.sum(axis=1).max())
+    if tag.kind == "l1":
+        return col
+    if tag.kind == "linf":
+        return row
+    return col ** (1.0 / tag.p) * row ** (1.0 - 1.0 / tag.p)
+
+
+def matrix_shrink_bound(m, tag) -> float:
+    try:
+        return 1.0 - 1.0 / matrix_norm_bound(np.linalg.inv(m), tag)
+    except np.linalg.LinAlgError:
+        return 1.0
+
+
+def matrix_distortion(m, tag) -> float:
+    if np.size(m) == 0:
+        return 0.0
+    return max(0.0, matrix_norm_bound(m, tag) - 1.0, matrix_shrink_bound(m, tag))
+
+
+def matrix_isometry_residual(m, tag) -> float:
+    """is_isometry's residual of one matrix, as its loop computed it."""
+    a = as_matrix(m)
+    n = a.shape[0]
+    if n == 0:
+        return 0.0
+    if tag.kind == "l2":
+        return max_abs(a.conj().T @ a - np.eye(n))
+    mags = np.abs(a)
+    second_rows = np.partition(mags, -2, axis=1)[:, -2] if n > 1 else np.zeros(n)
+    second_cols = np.partition(mags, -2, axis=0)[-2, :] if n > 1 else np.zeros(n)
+    per_row = np.maximum(np.abs(mags.max(axis=1) - 1.0), second_rows)
+    per_col = np.maximum(np.abs(mags.max(axis=0) - 1.0), second_cols)
+    return float(max(per_row.max(), per_col.max()))
+
+
+def matrix_hermitian_eig(m, tol=None):
+    """linalg.hermitian_eig of one Hermitian matrix, as its loop computed it."""
+    tol = tol or Tolerance()
+    a = as_matrix(m)
+    if a.shape[0] == 0:
+        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
+    evals, evecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    order = np.argsort(evals)[::-1]
+    return evals[order], evecs[:, order]
+
+
+def matrix_numeric_rank(m, tol=None) -> int:
+    tol = tol or Tolerance()
+    a = as_matrix(m)
+    if a.size == 0:
+        return 0
+    svals = np.linalg.svd(a, compute_uv=False)
+    smax = float(svals[0])
+    if smax <= 0.0:
+        return 0
+    return int(np.sum(svals > tol.eps_rank * smax))
+
+
+def matrix_orthonormal_range(m, tol=None) -> np.ndarray:
+    tol = tol or Tolerance()
+    a = as_matrix(m)
+    if a.size == 0:
+        return np.zeros((a.shape[0], 0), dtype=np.complex128)
+    u, svals, _ = np.linalg.svd(a, full_matrices=False)
+    smax = float(svals[0]) if svals.size else 0.0
+    if smax <= 0.0:
+        return np.zeros((a.shape[0], 0), dtype=np.complex128)
+    return u[:, :int(np.sum(svals > tol.eps_rank * smax))]
+
+
+def loop_classify(ovm, tol=None) -> tuple:
+    """The positive and spectral flags of ovm.classify, atom by atom and
+    pair by pair."""
+    eps = (tol or Tolerance()).eps_residual
+    positive = True
+    for atom in ovm.atoms:
+        if max_abs(atom - atom.conj().T) > eps:
+            positive = False
+            break
+        evals = np.linalg.eigvalsh((atom + atom.conj().T) / 2.0)
+        if evals.size and float(evals[0]) < -eps:
+            positive = False
+            break
+    m = ovm.space.atoms
+    spectral = all(max_abs(ovm.atoms[a] @ ovm.atoms[b]
+                           - (ovm.atoms[a] if a == b else 0.0)) <= eps
+                   for a in range(m) for b in range(m))
+    return positive, spectral
+
+
+def loop_rep_isometry(group, space, mats, tol=None) -> float:
+    """check_rep's isometry loop: the largest residual, or NotIsometry at
+    the first failing element."""
+    resid = 0.0
+    for s in group.elements:
+        chk = is_isometry(mats[s], space.norm, tol)
+        if not chk.ok:
+            raise NotIsometry(s, chk.witness)
+        resid = max(resid, chk.residual)
+    return resid
+
+
+def loop_unitarity(rep, tol=None) -> None:
+    """The unitarity loops of build_hilbert_dilation and bessel_ovm."""
+    for s in rep.group.elements:
+        chk = is_isometry(rep.matrices[s], rep.space.norm, tol)
+        if not chk.ok:
+            raise NonUnitaryRep(s, chk.residual)
+
+
+def loop_covariance_residuals(rep, ovm, action) -> np.ndarray:
+    out = np.zeros((rep.group.order, ovm.space.atoms))
+    for s in rep.group.elements:
+        ws = rep.matrices[s]
+        for w in range(ovm.space.atoms):
+            out[s, w] = max_abs(ws @ ovm.atoms[w]
+                                - ovm.atoms[action.point(s, w)] @ ws)
+    return out
+
+
+def loop_minimal_v_ops(system, carrier, tol=None) -> np.ndarray:
+    """V_s of the minimal dilation, one (s, w) block at a time."""
+    tol = tol or Tolerance()
+    rep, action = system.rep, system.action
+    r = carrier.dim
+    v_ops = np.zeros((rep.group.order, r, r), dtype=np.complex128)
+    for s in rep.group.elements:
+        ws = rep.matrices[s]
+        for w in range(system.ovm.space.atoms):
+            w2 = action.point(s, w)
+            b_from = carrier.blocks[w]
+            b_to = carrier.blocks[w2]
+            if b_from.shape[1] != b_to.shape[1]:
+                raise ClosureViolation(f"V_{s} block {w}->{w2}", float("inf"))
+            blk = b_to.conj().T @ ws @ b_from
+            resid = max_abs(ws @ b_from - b_to @ blk)
+            if resid > tol.eps_residual:
+                raise ClosureViolation(f"V_{s} block {w}->{w2}", resid)
+            lo_f, hi_f = carrier.offsets[w], carrier.offsets[w + 1]
+            lo_t, hi_t = carrier.offsets[w2], carrier.offsets[w2 + 1]
+            v_ops[s, lo_t:hi_t, lo_f:hi_f] = blk
+    return v_ops
+
+
+def loop_isometry_bound(ds, system) -> float:
+    """banach._isometry_bound, one element at a time."""
+    if ds.carrier is None:
+        return max(matrix_distortion(v, L2) for v in ds.v_ops)
+    carrier, rep, action = ds.carrier, system.rep, system.action
+    tag = ds.target.norm
+    kappa_lam = ds.target.dim ** abs(0.5 - 1.0 / tag.exponent)
+    off = carrier.offsets
+    worst = 0.0
+    for s in rep.group.elements:
+        rest = ds.v_ops[s].copy()
+        blocks = 0.0
+        for w, b in enumerate(carrier.blocks):
+            u = action.point(s, w)
+            cut = slice(off[u], off[u + 1]), slice(off[w], off[w + 1])
+            blocks += matrix_norm_bound(rep.matrices[s] @ b
+                                        - carrier.blocks[u] @ rest[cut], L2)
+            rest[cut] = 0.0
+        worst = max(worst, matrix_distortion(rep.matrices[s], tag) + kappa_lam * (
+            blocks + ds.space.atoms * matrix_norm_bound(rest, L2)))
+    return worst
+
+
+def loop_hilbert_lift(system, tol=None) -> np.ndarray:
+    """The lifted unitaries U~_g of build_hilbert_dilation, one (g, w)
+    block at a time, after its unitarity loop."""
+    tol = tol or Tolerance()
+    rep, ovm, action = system.rep, system.ovm, system.action
+    loop_unitarity(rep, tol)
+    m = ovm.space.atoms
+    vectors, values, offsets = [], [], [0]
+    for w in range(m):
+        evals, evecs = hermitian_eig(ovm.atoms[w], tol)
+        lam_max = float(evals[0]) if evals.size else 0.0
+        keep = evals > tol.eps_rank * max(lam_max, 0.0)
+        vectors.append(evecs[:, keep])
+        values.append(np.asarray(evals[keep], dtype=float))
+        offsets.append(offsets[-1] + int(keep.sum()))
+    k_dim = offsets[-1]
+    u_tilde = np.zeros((rep.group.order, k_dim, k_dim), dtype=np.complex128)
+    for g in rep.group.elements:
+        ug = rep.matrices[g]
+        for w in range(m):
+            w2 = action.point(g, w)
+            if values[w].shape[0] != values[w2].shape[0]:
+                raise BlockRankMismatch(g, w)
+            if values[w].shape[0] == 0:
+                continue
+            blk = (np.sqrt(values[w2])[:, None] * vectors[w2].conj().T
+                   @ ug @ vectors[w]) / np.sqrt(values[w])[None, :]
+            u_tilde[g, offsets[w2]:offsets[w2 + 1], offsets[w]:offsets[w + 1]] = blk
+    return u_tilde
+
+
+def loop_element_laws(ds, system, minimal=None, r_map=None) -> dict:
+    """The laws that take every element in one stacked product, one element
+    at a time: dilation(b), (c) (hilbert(4) on a Hilbert dilation), the
+    unitarity of every V_s (hilbert(2)), and induced(1) when the minimal
+    dilation and R are given."""
+    rep = system.rep
+    out = {
+        "dilation(b)": max(max_abs(ds.Q @ ds.v_ops[s] - rep.matrices[s] @ ds.Q)
+                           for s in rep.group.elements),
+        "dilation(c)": max(max_abs(ds.v_ops[s] @ ds.T - ds.T @ rep.matrices[s])
+                           for s in rep.group.elements),
+        "hilbert(2)": max(max_abs(ds.v_ops[g].conj().T @ ds.v_ops[g]
+                                  - np.eye(ds.dim)) for g in rep.group.elements),
+    }
+    if minimal is not None:
+        out["induced(1)"] = max(max_abs(r_map @ minimal.v_ops[s]
+                                        - ds.v_ops[s] @ r_map)
+                                for s in rep.group.elements)
+    return out
